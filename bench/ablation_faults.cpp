@@ -116,6 +116,7 @@ int main(int argc, char** argv) {
                   {"response_loss", sc.f.response_loss},
                   {"sleep_probability", sc.f.sleep_probability},
                   {"low_mean_rounds", low.mean()},
+                  {"low_stddev", low.stddev()},
                   {"high_mean_rounds", high_stat.mean()},
                   {"all_correct", all_correct ? 1.0 : 0.0}});
   }
@@ -202,6 +203,7 @@ int main(int argc, char** argv) {
                   {"straggler_rate", sc.f.straggler.rate},
                   {"straggler_alpha", sc.f.straggler.alpha},
                   {"low_mean_rounds", low.mean()},
+                  {"low_stddev", low.stddev()},
                   {"high_mean_rounds", high_stat.mean()},
                   {"all_correct", all_correct ? 1.0 : 0.0}});
   }

@@ -6,10 +6,11 @@
 // Two parts:
 //   1. google-benchmark timings of the individual kernels (filter with
 //      --benchmark_filter=...).
-//   2. A "substrate showdown" that times the CSR Mailbox/PullChannel
-//      against reference implementations of the previous vector-of-vectors
-//      substrate at n = 2^16, checks that deliver cost scales with
-//      messages (not n), and writes BENCH_micro_substrates.json.
+//   2. A "substrate showdown" that times the CSR Mailbox/PullChannel and
+//      the Section 2.1 pull step (core::pull_sample) against reference
+//      implementations of the previous vector-of-vectors substrate at
+//      n = 2^16, checks that deliver cost scales with messages (not n),
+//      and writes BENCH_micro_substrates.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -375,29 +376,64 @@ void substrate_showdown(bench::BenchJson& json) {
               "speedup: %.2fx\n",
               csr_pull.per_sec, legacy_pull.per_sec, pull_ratio);
 
-  // --- Fused bulk pulls (the engines' hot path) ---
+  // --- The engines' Section 2.1 pull step (their hot loop):
+  // core::pull_sample over a NodeStore, every draw on the puller's own
+  // stream, against the legacy channel answering from the same store.
+  // Each requester issues a full d = 3 sample's pulls at n = 2^15 (141). ---
+  constexpr std::size_t kSamplePulls = 141;
+  constexpr std::size_t kSampleReqs = kRequesters * kSamplePulls;
+  gossip::NodeStore<double> pull_store(kN);
+  for (std::size_t v = 0; v < kN; ++v) {
+    pull_store.add_original(static_cast<gossip::NodeId>(v),
+                            static_cast<double>(v));
+  }
+  auto store_answer = [&](gossip::Network& net, gossip::NodeId target) {
+    const std::size_t sz = pull_store.size(target);
+    if (sz == 0) return std::optional<double>();
+    return std::optional<double>(pull_store.elem(target, net.rng().below(sz)));
+  };
+
   gossip::Network net_pf(kN, util::Rng(43));
-  gossip::PullChannel<double> ch_fused(net_pf);
   net_pf.begin_round();
+  std::vector<util::Rng> puller_rng;
+  for (std::size_t v = 0; v < kRequesters; ++v) puller_rng.emplace_back(v + 1);
+  std::vector<double> pulled;
+  std::uint64_t sampled_bytes = 0;
   const auto fused_pull = time_deliver(
-      kIters, kPulls,
+      kIters, kSampleReqs,
       [&](std::size_t) {
-        ch_fused.begin_pulls();
         for (std::size_t v = 0; v < kRequesters; ++v) {
-          ch_fused.pull_uniform(
-              static_cast<gossip::NodeId>(v), kPullsEach,
-              [](gossip::NodeId target) {
-                return std::optional<double>(static_cast<double>(target));
-              });
+          sampled_bytes += core::pull_sample(pull_store, net_pf, kSamplePulls,
+                                             puller_rng[v], pulled);
         }
       },
       [&] {});
-  const double fused_ratio = legacy_pull.per_sec > 0.0
-                                 ? fused_pull.per_sec / legacy_pull.per_sec
-                                 : 0.0;
-  std::printf("PullChannel.pull_uniform: %8.0f req/s                         "
-              "speedup: %.2fx\n",
-              fused_pull.per_sec, fused_ratio);
+  benchmark::DoNotOptimize(sampled_bytes);
+
+  gossip::Network net_ps(kN, util::Rng(43));
+  LegacyPullChannel<double> ch_store(net_ps);
+  net_ps.begin_round();
+  const auto legacy_store_pull = time_deliver(
+      kIters, kSampleReqs,
+      [&](std::size_t) {
+        for (std::size_t v = 0; v < kRequesters; ++v) {
+          for (std::size_t k = 0; k < kSamplePulls; ++k) {
+            ch_store.request(static_cast<gossip::NodeId>(v));
+          }
+        }
+      },
+      [&] {
+        ch_store.resolve([&](gossip::NodeId target) {
+          return store_answer(net_ps, target);
+        });
+      });
+  const double fused_ratio =
+      legacy_store_pull.per_sec > 0.0
+          ? fused_pull.per_sec / legacy_store_pull.per_sec
+          : 0.0;
+  std::printf("pull_sample (NodeStore): %8.0f req/s   legacy channel: %10.0f "
+              "req/s   speedup: %.2fx\n",
+              fused_pull.per_sec, legacy_store_pull.per_sec, fused_ratio);
 
   // --- NodeStore showdown: slab-backed store vs the legacy per-node
   // vectors on the engines' filter-pass shape — n nodes each holding one

@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
                            {"max_work_per_round", work_stat.max()},
                            {"work_bound", bound},
                            {"max_load_ratio", load_stat.max()},
-                           {"mean_rounds", rounds.mean()}});
+                           {"mean_rounds", rounds.mean()},
+                           {"stddev", rounds.stddev()}});
   }
   table.print();
 

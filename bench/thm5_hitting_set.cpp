@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
                     {"mean_size", size_stat.mean()},
                     {"greedy_size", greedy_stat.mean()},
                     {"mean_rounds", rounds.mean()},
+                    {"stddev", rounds.stddev()},
                     {"max_work_per_round", work_stat.max()}});
     }
   }
@@ -185,6 +186,7 @@ int main(int argc, char** argv) {
                                {"mean_size", size_stat.mean()},
                                {"greedy_size", greedy_stat.mean()},
                                {"mean_rounds", rounds.mean()},
+                               {"stddev", rounds.stddev()},
                                {"all_valid", ok_stat.min()}});
   }
   sc.print();

@@ -17,10 +17,19 @@
 // work O(d log(ds) + log n) per round, w.h.p.
 //
 // Simulator cost per round follows the same large-n contract as
-// run_low_load: slab-backed element storage (O(1) |X(V)|, O(copy-holders)
-// filter pass), receiver-list delivery walks, and a chunk-collected
-// stage-B replay that only visits winners and W_i pushers — all
-// bit-identical to a serial full scan for any parallel_nodes value.
+// run_low_load: the only O(n) loops are each awake node's stage-A step
+// (its Section 2.1 pulls into a per-thread buffer, sample selection, hit
+// marking) and the serial metering of its fixed pull count; everything
+// else is slab-backed element storage (O(1) |X(V)|, O(copy-holders) filter
+// pass), receiver-list delivery walks, and a chunk-collected stage-B
+// replay that only visits winners and W_i pushers.
+//
+// Determinism: stage A consumes only per-node streams — per node, the
+// sampler pulls (targets, response losses, answer indices) first, the
+// selection draws second — and the W_i pushes replay on the shared stream
+// in ascending node order in stage B, so results are bit-identical to a
+// serial full scan for any parallel_nodes value, shard count and
+// transport.
 #pragma once
 
 #include <cmath>
@@ -55,12 +64,14 @@ struct HittingSetConfig {
   bool filtering = true;
   std::size_t max_rounds = 0;  // 0: auto cap (per doubling stage)
   gossip::FaultModel faults;   // message loss / sleeping nodes
-  std::size_t parallel_nodes = 0;  // >1: the per-node compute phase (sample
-                                   // selection, hit marking, W_i assembly)
-                                   // runs on this many threads.  Results
-                                   // are bit-identical to the serial run:
-                                   // the phase consumes only the per-node
-                                   // RNG streams, and all shared-RNG
+  std::size_t parallel_nodes = 0;  // >1: the per-node stage A (Section 2.1
+                                   // pulls, sample selection, hit marking,
+                                   // W_i assembly) runs on this many
+                                   // threads.  Results are bit-identical
+                                   // to the serial run: the phase reads
+                                   // the store read-only and consumes
+                                   // only the per-node RNG streams, and
+                                   // all shared-RNG
                                    // traffic (mailbox pushes) is replayed
                                    // serially in node order — the same
                                    // stage-A/stage-B split as low/high
@@ -243,7 +254,6 @@ inline HittingSetRunResult run_hitting_set(
   res.stats.max_total_elements = res.stats.initial_total_elements;
 
   gossip::Mailbox<Element> copies_mail(net);
-  gossip::PullChannel<Element> sample_chan(net);
   const std::size_t log_n = util::ceil_log2(n) + 1;
 
   std::size_t d = cfg.hitting_set_size ? cfg.hitting_set_size : 1;
@@ -290,11 +300,13 @@ inline HittingSetRunResult run_hitting_set(
     std::vector<gossip::NodeId> replay;
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
+    std::uint64_t bytes = 0;  // pull-response bytes, metered in stage B
   };
   const std::size_t chunk =
       pool ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
   std::vector<ChunkAcc> chunks(sharded ? harness->frame_count()
                                        : util::chunk_count(n, chunk));
+  std::vector<Element> encode_pulled;  // shard path: the sample being encoded
 
   while (!done) {
     const std::size_t r = cfg.sample_size
@@ -326,39 +338,36 @@ inline HittingSetRunResult run_hitting_set(
       obs::TraceSpan round_span("hitting_set.round", global_round);
       std::size_t bookkeeping = 0;
 
-      // Sampling (Section 2.1), as fused bulk pulls.
-      sample_chan.begin_pulls();
-      auto answer = [&](gossip::NodeId target, std::vector<Element>& sink) {
-        const std::size_t sz = store.size(target);
-        if (sz != 0) {
-          sink.push_back(store.elem(target, net.rng().below(sz)));
-        }
-      };
+      // Sampler pull ops (Section 2.1): a fixed count per awake node,
+      // metered serially; the pulls themselves run in stage A.
       for (gossip::NodeId v = 0; v < n; ++v) {
-        if (net.asleep(v)) continue;
-        sample_chan.pull_uniform_direct(v, pulls, answer);
+        if (!net.asleep(v)) net.meter().add_pulls(v, pulls);
       }
 
-      // --- Per-node compute (stage A): sample selection, hit marking, and
-      // W_i assembly.  Touches only node-local state and node_rng[v], so it
-      // fans out across threads when cfg.parallel_nodes asks for it; every
+      // --- Per-node stage A: the node's Section 2.1 pulls (reading the
+      // store read-only), sample selection, hit marking, and W_i assembly.
+      // Touches only node-local state and node_rng[v], so it fans out
+      // across threads when cfg.parallel_nodes asks for it; every
       // shared-RNG side effect (the W_i mailbox pushes) is collected per
       // chunk and replayed in stage B in ascending node order, making
       // parallel runs bit-identical to serial ones.
       auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
         thread_local detail::HsStageAScratch scr;
+        thread_local std::vector<Element> pulled;  // the node's sample
         ChunkAcc& ch = chunks[k];
         ch.replay.clear();
         ch.attempts = 0;
         ch.failures = 0;
+        ch.bytes = 0;
         for (std::size_t vi = begin; vi < end; ++vi) {
           const auto v = static_cast<gossip::NodeId>(vi);
           NodeRound& sc = scratch[v];
           sc.winner = 0;
           if (net.asleep(v)) continue;
           ++ch.attempts;
+          ch.bytes += pull_sample(store, net, pulls, node_rng[v], pulled);
           const detail::HsNodeOutcome out = detail::hitting_set_node_stage_a(
-              problem, sample_chan.mutable_responses(v), r, sampler.strict,
+              problem, std::span<Element>(pulled), r, sampler.strict,
               store.view(v), node_rng[v], scr, sc.sample, sc.wi);
           if (out == detail::HsNodeOutcome::kFailed) {
             ++ch.failures;
@@ -377,7 +386,9 @@ inline HittingSetRunResult run_hitting_set(
       if (sharded) {
         // Ship each shard its stage-A inputs in bounded sub-frames;
         // frame-indexed ChunkAccs walked in order by stage B recover the
-        // ascending node order (the deterministic-merge contract).
+        // ascending node order (the deterministic-merge contract).  The
+        // coordinator draws each node's pulls while encoding and ships the
+        // stream state advanced past them (see run_low_load).
         harness->round(
             [&](shard::ShardRange rg, gossip::Encoder& e) {
               e.put_u32(static_cast<std::uint32_t>(r));
@@ -388,8 +399,10 @@ inline HittingSetRunResult run_hitting_set(
                 const bool active = !net.asleep(v);
                 e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
                 if (!active) continue;
+                net.meter().add_response_bytes(
+                    pull_sample(store, net, pulls, node_rng[v], encode_pulled));
                 shard::put_rng(e, node_rng[v]);
-                shard::put_seq(e, sample_chan.responses(v));
+                shard::put_seq(e, std::span<const Element>(encode_pulled));
                 shard::put_seq(e, store.view(v));
               }
             },
@@ -425,6 +438,7 @@ inline HittingSetRunResult run_hitting_set(
       for (const ChunkAcc& ch : chunks) {
         res.stats.sampling_attempts += ch.attempts;
         res.stats.sampling_failures += ch.failures;
+        if (ch.bytes != 0) net.meter().add_response_bytes(ch.bytes);
         for (const gossip::NodeId v : ch.replay) {
           ++bookkeeping;
           NodeRound& sc = scratch[v];

@@ -21,9 +21,11 @@
 // ## Simulator cost per round (the large-n engine contract)
 //
 // The only per-round loops proportional to n are the ones that do inherent
-// per-node algorithm work: issuing each awake node's sampler pulls and the
-// stage-A compute (sample selection, local solve, violator scan).  All
-// bookkeeping is proportional to the *active* sets instead:
+// per-node algorithm work: the stage-A step of every awake node (its
+// Section 2.1 pulls, sample selection, local solve, violator scan) and the
+// serial metering of its fixed pull count.  The pulled sample lives in a
+// per-thread buffer of s elements, never in an n-wide response payload.
+// All bookkeeping is proportional to the *active* sets instead:
 //
 //   * element storage is a slab-backed gossip::NodeStore — |H(V)| is O(1)
 //     (incremental), and the filter pass visits only nodes holding copies;
@@ -43,11 +45,14 @@
 // One run is a pure function of (problem, h_set, n_nodes, cfg): the master
 // seed fans out into the network stream, the placement stream, and n
 // per-node streams.  cfg.parallel_nodes only changes *where* the stage-A
-// compute runs: that stage consumes per-node RNG streams exclusively, every
-// shared-RNG side effect is replayed serially in ascending node order in
-// stage B (the chunked stage-A collection preserves that order exactly),
-// and the filter pass consumes per-node streams only — so results are
-// bit-identical for every thread count.
+// step runs: that stage consumes per-node RNG streams exclusively — each
+// node draws its sampler pulls (targets, response losses, answer indices)
+// first and its selection draws second, on its own stream — every
+// shared-RNG side effect (seed pulls, pushes, termination) is replayed
+// serially in ascending node order in stage B (the chunked stage-A
+// collection preserves that order exactly), and the filter pass consumes
+// per-node streams only — so results are bit-identical for every thread
+// count, shard count and transport.
 #pragma once
 
 #include <algorithm>
@@ -100,13 +105,15 @@ struct LowLoadConfig {
   std::size_t dimension_override = 0;  // run as if dim(H, f) were this value
                                        // (the Section 1.4 doubling search on
                                        // an unknown d; 0 = use p.dimension())
-  std::size_t parallel_nodes = 0;  // >1: per-node compute phase (sample
-                                   // selection, local solve, violator scan)
-                                   // runs on this many threads.  Results are
-                                   // bit-identical to the serial run: the
-                                   // phase consumes only the per-node RNG
-                                   // streams, and all shared-RNG traffic is
-                                   // replayed serially in node order.  Only
+  std::size_t parallel_nodes = 0;  // >1: per-node stage A (Section 2.1
+                                   // pulls, sample selection, local solve,
+                                   // violator scan) runs on this many
+                                   // threads.  Results are bit-identical to
+                                   // the serial run: the stage consumes
+                                   // only the per-node RNG streams (pulls
+                                   // read the store read-only), and all
+                                   // shared-RNG traffic is replayed
+                                   // serially in node order.  Only
                                    // kPullBased sampling parallelizes (the
                                    // idealized sampler meters global pulls).
                                    // The pool lives for one run: combining
@@ -382,7 +389,6 @@ DistributedLpResult<P> run_low_load(const P& p,
     }
   }
 
-  gossip::PullChannel<Element> sample_chan(net);
   gossip::PullChannel<Element> seed_chan(net);  // Section 2.3 pull phase
   gossip::Mailbox<Element> copies_mail(net);    // W_i pushes
   gossip::Mailbox<Element> seeds_mail(net);     // (h, 0) pushes
@@ -422,7 +428,6 @@ DistributedLpResult<P> run_low_load(const P& p,
   struct NodeRound {
     typename P::Solution sol;
     std::vector<Element> violators;
-    std::vector<Element> resp;  // idealized-sampling draw buffer
   };
   std::vector<NodeRound> scratch(n);
   std::vector<std::size_t> prefix;  // idealized-sampling cumulative sizes
@@ -444,11 +449,13 @@ DistributedLpResult<P> run_low_load(const P& p,
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
     gossip::NodeId first_opt = detail::kNoNodeId;
+    std::uint64_t bytes = 0;  // pull-response bytes, metered in stage B
   };
   const std::size_t chunk =
       parallel ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
   std::vector<ChunkAcc> chunks(sharded ? harness->frame_count()
                                        : util::chunk_count(n, chunk));
+  std::vector<Element> encode_pulled;  // shard path: the sample being encoded
 
   bool found = false;
   for (std::size_t t = 1; t <= max_rounds; ++t) {
@@ -491,19 +498,12 @@ DistributedLpResult<P> run_low_load(const P& p,
       return store.elem(target, net.rng().below(h0));
     });
 
-    // --- Sampling (Algorithm 2 line 3 via Section 2.1), as fused bulk
-    // pulls: each pull draws its target and is answered in place. ---
+    // --- Sampler pull ops (Algorithm 2 line 3): a fixed count per active
+    // node, metered serially; the pulls themselves run in stage A. ---
     if (cfg.sampling == SamplingMode::kPullBased) {
-      sample_chan.begin_pulls();
-      auto answer = [&](gossip::NodeId target, std::vector<Element>& sink) {
-        const std::size_t sz = store.size(target);
-        if (sz != 0) {
-          sink.push_back(store.elem(target, net.rng().below(sz)));
-        }
-      };
       for (gossip::NodeId v = 0; v < n; ++v) {
         if (in_pull_phase[v] || net.asleep(v) || absent(v)) continue;
-        sample_chan.pull_uniform_direct(v, pulls, answer);
+        net.meter().add_pulls(v, pulls);
       }
     }
 
@@ -515,51 +515,49 @@ DistributedLpResult<P> run_low_load(const P& p,
       }
     }
 
-    // --- Per-node compute (stage A): sample selection, local solve, and
-    // violator scan.  Touches only node-local state and node_rng[v], so it
-    // fans out across threads when cfg.parallel_nodes asks for it; every
-    // shared-RNG side effect (mailbox pushes, termination traffic) is
-    // collected per chunk and replayed in stage B in node order, making
-    // parallel runs bit-identical to serial ones.
+    // --- Per-node stage A: the node's Section 2.1 pulls (reading the
+    // store read-only), sample selection, local solve, and violator scan.
+    // Touches only node-local state and node_rng[v], so it fans out across
+    // threads when cfg.parallel_nodes asks for it; every shared-RNG side
+    // effect (mailbox pushes, termination traffic) is collected per chunk
+    // and replayed in stage B in node order, making parallel runs
+    // bit-identical to serial ones.
     const bool found_snapshot = found;
     auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
       obs::TraceSpan chunk_span("low_load.stage_a.chunk", k);
+      // The node's sample, consumed (reordered in place) by its selection
+      // step and discarded: s elements per thread, reused across nodes.
+      thread_local std::vector<Element> pulled;
       ChunkAcc& ch = chunks[k];
       ch.replay.clear();
       ch.attempts = 0;
       ch.failures = 0;
       ch.first_opt = detail::kNoNodeId;
+      ch.bytes = 0;
       for (std::size_t vi = begin; vi < end; ++vi) {
         const auto v = static_cast<gossip::NodeId>(vi);
         if (net.asleep(v) || in_pull_phase[v] || absent(v)) continue;
         ++ch.attempts;
         NodeRound& sc = scratch[v];
-        bool ok;
         if (cfg.sampling == SamplingMode::kPullBased) {
-          // Select straight out of the channel's CSR slice: each slice is
-          // consumed exactly once per round, so reordering it in place is
-          // safe, and the sample stays a zero-copy view into it.
-          ok = detail::low_load_node_stage_a(
-              p, sampler, sample_chan.mutable_responses(v), store.view(v),
-              node_rng[v], sc.sol, sc.violators);
+          ch.bytes += pull_sample(store, net, pulls, node_rng[v], pulled);
         } else {
           const std::size_t m = prefix[n];
-          sc.resp.clear();
-          sc.resp.reserve(pulls);
+          pulled.clear();
           for (std::size_t k2 = 0; k2 < pulls && m > 0; ++k2) {
             net.meter().add_pull(v, 0);
             const std::size_t g = node_rng[v].below(m);
             const auto it =
                 std::upper_bound(prefix.begin(), prefix.end(), g) - 1;
             const auto node = static_cast<std::size_t>(it - prefix.begin());
-            sc.resp.push_back(store.elem(static_cast<gossip::NodeId>(node),
-                                         g - *it));
+            pulled.push_back(store.elem(static_cast<gossip::NodeId>(node),
+                                        g - *it));
             net.meter().add_response_bytes(sizeof(Element));
           }
-          ok = detail::low_load_node_stage_a(
-              p, sampler, std::span<Element>(sc.resp), store.view(v),
-              node_rng[v], sc.sol, sc.violators);
         }
+        const bool ok = detail::low_load_node_stage_a(
+            p, sampler, std::span<Element>(pulled), store.view(v),
+            node_rng[v], sc.sol, sc.violators);
         if (!ok) {
           ++ch.failures;
           continue;
@@ -579,7 +577,11 @@ DistributedLpResult<P> run_low_load(const P& p,
         // Ship each shard its per-node stage-A inputs in bounded
         // sub-frames; per-frame results land in frame-indexed ChunkAccs,
         // which stage B walks in index order — shard-major contiguous
-        // ascending ranges, i.e. the serial full-scan node order.
+        // ascending ranges, i.e. the serial full-scan node order.  The
+        // store stays on the coordinator, so it draws each node's pulls
+        // while encoding (once per frame per round: the harness retains
+        // task bytes for replays) and ships the stream state advanced past
+        // them; the worker's selection draws continue from there.
         harness->round(
             [&](shard::ShardRange r, gossip::Encoder& e) {
               e.put_u8(found_snapshot ? 1 : 0);
@@ -590,8 +592,10 @@ DistributedLpResult<P> run_low_load(const P& p,
                     !net.asleep(v) && !in_pull_phase[v] && !absent(v);
                 e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
                 if (!active) continue;
+                net.meter().add_response_bytes(
+                    pull_sample(store, net, pulls, node_rng[v], encode_pulled));
                 shard::put_rng(e, node_rng[v]);
-                shard::put_seq(e, sample_chan.responses(v));
+                shard::put_seq(e, std::span<const Element>(encode_pulled));
                 shard::put_seq(e, store.view(v));
               }
             },
@@ -649,6 +653,7 @@ DistributedLpResult<P> run_low_load(const P& p,
     for (const ChunkAcc& ch : chunks) {
       res.stats.sampling_attempts += ch.attempts;
       res.stats.sampling_failures += ch.failures;
+      if (ch.bytes != 0) net.meter().add_response_bytes(ch.bytes);
       if (first_opt == detail::kNoNodeId) first_opt = ch.first_opt;
       for (const gossip::NodeId v : ch.replay) {
         replay_pull_below(v);

@@ -11,6 +11,13 @@
 // returned as-is: on instances with |H| < target the returned R is simply
 // all elements seen, which reproduces the Figure 2 observation that
 // instances below 2^8 points finish in one round.
+//
+// pull_sample() is the pull half: one node's s pulls, each drawing its
+// target, its response-loss decision and the responder's element index
+// from the *puller's* private stream.  The uniform gossip model makes every
+// pull an independent uniform choice, so which stream draws it does not
+// change the distribution — and a per-node stream lets the engines run the
+// sampler inside their parallel stage A instead of a serial pre-pass.
 #pragma once
 
 #include <algorithm>
@@ -22,10 +29,82 @@
 #include <vector>
 
 #include "gossip/mailbox.hpp"
+#include "gossip/network.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
 namespace lpt::core {
+
+namespace detail {
+
+template <bool kFaults, typename Element>
+void pull_sample_impl(const gossip::NodeStore<Element>& store,
+                      const gossip::Network& net, std::size_t pulls,
+                      util::Rng& rng, std::vector<Element>& sink) {
+  // Software-pipelined in blocks: draw a block's targets and prefetch their
+  // store headers, then draw each answer index and prefetch the element,
+  // then copy the elements out — so the block's cache misses overlap
+  // instead of serializing (the pass is miss-bound).  Draw order per block:
+  // all targets, then per pull its loss decision and answer index.
+  constexpr std::size_t kBlock = 32;
+  const std::size_t n = net.size();
+  [[maybe_unused]] const double p = net.faults().response_loss;
+  [[maybe_unused]] gossip::LossStream loss;
+  gossip::NodeId targets[kBlock];
+  const Element* answers[kBlock];
+  for (std::size_t done = 0; done < pulls; done += kBlock) {
+    const std::size_t b = std::min(kBlock, pulls - done);
+    for (std::size_t k = 0; k < b; ++k) {
+      targets[k] = static_cast<gossip::NodeId>(rng.below(n));
+      store.prefetch(targets[k]);
+    }
+    std::size_t m = 0;
+    for (std::size_t k = 0; k < b; ++k) {
+      const gossip::NodeId target = targets[k];
+      if constexpr (kFaults) {
+        if (net.asleep(target)) continue;            // sleepers never answer
+        if (p > 0.0 && loss.drop(rng, p)) continue;  // response lost
+      }
+      const std::size_t sz = store.size(target);
+      if (sz == 0) continue;
+      answers[m] = &store.elem(target, rng.below(sz));
+      __builtin_prefetch(answers[m]);
+      ++m;
+    }
+    for (std::size_t k = 0; k < m; ++k) sink.push_back(*answers[k]);
+  }
+}
+
+}  // namespace detail
+
+/// The Section 2.1 pull step of one node: `pulls` pulls at uniformly random
+/// nodes, each answered (unless the target sleeps, its response is lost,
+/// or its multiset is empty) with a uniformly random element of the
+/// target's current multiset.  Replaces `sink` with the answers, in pull
+/// order, and returns their wire bytes for the caller to meter.
+///
+/// Every draw comes from `rng` — the puller's private stream — and `store`
+/// and `net` are only read, so concurrent calls for different nodes are
+/// data-race-free while no store writes run (the engines' stage A).  Pull
+/// ops are not metered here: their count is fixed per node, so the engines
+/// meter them serially.  Response loss uses a geometric-gap LossStream local
+/// to the call (one draw per lost response); the fault-free path carries
+/// no fault branches.
+template <typename Element>
+std::uint64_t pull_sample(const gossip::NodeStore<Element>& store,
+                          const gossip::Network& net, std::size_t pulls,
+                          util::Rng& rng, std::vector<Element>& sink) {
+  sink.clear();
+  if (net.faults().response_loss > 0.0 || net.asleep_count() > 0) {
+    detail::pull_sample_impl<true>(store, net, pulls, rng, sink);
+  } else {
+    detail::pull_sample_impl<false>(store, net, pulls, rng, sink);
+  }
+  using gossip::wire_size;
+  std::uint64_t bytes = 0;
+  for (const Element& e : sink) bytes += wire_size(e);
+  return bytes;
+}
 
 /// distinct_key(e) -> uint64 is the ADL customization point that unlocks
 /// the hash-based dedupe fast path in select_distinct_into (it must be

@@ -106,7 +106,8 @@ inline std::uint64_t geometric_gap(util::Rng& rng, double p) noexcept {
 /// Stateful geometric-gap loss stream: drop(rng, p) answers "is this event
 /// lost?" consuming one RNG draw per *lost* event.  The first call arms the
 /// stream lazily, so a fault-free sweep (p checked by the caller) draws
-/// nothing.  Shared by the pull channels and the hypercube baseline.
+/// nothing.  Shared by PullChannel, core::pull_sample and the hypercube
+/// baseline.
 struct LossStream {
   std::uint64_t gap = 0;
   bool armed = false;
@@ -372,6 +373,14 @@ class NodeStore {
   /// O(1) random access (the pull samplers' answer path).
   const Element& elem(NodeId v, std::size_t i) const noexcept {
     return pool_.data(ref_[v])[i];
+  }
+
+  /// Cache hint: start loading node v's header (size and slab handle)
+  /// ahead of a size()/elem() on it — the pull sampler issues a batch of
+  /// these before answering, so its cache misses overlap.
+  void prefetch(NodeId v) const noexcept {
+    __builtin_prefetch(&size_[v]);
+    __builtin_prefetch(&ref_[v]);
   }
 
   /// Append an original element, growing the H_0 prefix by swapping the

@@ -7,8 +7,9 @@ Checked (see docs/BENCHMARKS.md for the schemas):
 
   * BENCH_micro_substrates.json — every ``*_speedup`` ratio must stay within
     MAX_RATIO of the committed value (ratios are same-machine measurements,
-    so they transfer across hardware), and ``deliver_n_scaling_cost_ratio``
-    must not grow past MAX_RATIO x the committed value.
+    so they transfer across hardware) and must be present in the fresh
+    artifact, and ``deliver_n_scaling_cost_ratio`` must not grow past
+    MAX_RATIO x the committed value.
   * BENCH_fig3_high_load.json — per-point ``wall_per_rep`` for every
     (dataset, i) present in both files must not exceed MAX_RATIO x the
     committed value.  Points faster than MIN_WALL seconds per rep are
@@ -93,6 +94,12 @@ def check_micro(baseline, fresh, max_ratio, failures, checked):
         if key.endswith("speedup") or "_speedup_" in key:
             fresh_value = fresh.get(key)
             if not isinstance(fresh_value, (int, float)):
+                # A committed ratio the fresh run no longer reports means
+                # its row was renamed or dropped: the gate would go blind.
+                failures.append(
+                    f"micro_substrates {key}: committed {base_value:.2f}x "
+                    "but missing from the fresh artifact"
+                )
                 continue
             checked.append(key)
             if fresh_value < base_value / max_ratio:
