@@ -31,6 +31,14 @@
 // DistributedRunStats::last_round_bookkeeping_touches records the final
 // round's bookkeeping node-touches.
 //
+// The local solve is incremental (detail::LocalBasis): H(v_i) only grows,
+// so a node whose arrivals all satisfy its cached optimum costs
+// O(arrivals) per round, and a node whose optimum changed costs a solve
+// of a small working set plus an O(|H(v_i)|) verification scan.  Each
+// sender derives the solution its receivers test against
+// (p.from_basis(B_i)) once per re-solve; the basis message carries
+// the sender's id and is metered at the basis's byte size.
+//
 // ## Determinism
 //
 // One run is a pure function of (problem, h_set, n_nodes, cfg).
@@ -38,7 +46,9 @@
 // violator scans — node-local state, no RNG) onto a pool; every shared-RNG
 // effect (basis and violator pushes) is replayed serially in ascending
 // node order over the sorted occupied list, so results are bit-identical
-// for every thread count.
+// for every thread count.  A node's solution is value-identical to a
+// from-scratch p.solve of its store; under tolerance ties it can be a
+// different basis of the same value than the from-scratch solve returns.
 #pragma once
 
 #include <algorithm>
@@ -85,14 +95,101 @@ struct HighLoadConfig {
 
 namespace detail {
 
-/// Wire message carrying a basis (<= d elements, i.e. O(d log n) bits).
+/// Wire message announcing a basis.  A real wire carries the sender's
+/// basis (<= d elements, i.e. O(d log n) bits); the simulator carries the
+/// sender's id instead and receivers read the sender's precomputed
+/// solution (LocalBasis::sent) after the delivery barrier.  wire_size()
+/// charges the basis bytes, so the metered traffic is the real one.
 template <typename Element>
 struct BasisMsg {
-  std::vector<Element> basis;
+  gossip::NodeId sender = 0;
+  std::uint32_t basis_bytes = 0;
+
+  static BasisMsg announce(gossip::NodeId sender,
+                           std::span<const Element> basis) noexcept {
+    return {sender, static_cast<std::uint32_t>(basis.size() * sizeof(Element))};
+  }
 
   friend std::size_t wire_size(const BasisMsg& m) noexcept {
-    return m.basis.size() * sizeof(Element);
+    return m.basis_bytes;
   }
+};
+
+/// A node's incremental local solve (stage A1).  High load never filters,
+/// so H(v) only grows between resets, and the cached optimum of the first
+/// solved_size() elements stays optimal for the grown store unless an
+/// appended element violates it (LP-type locality).  Otherwise the optimum
+/// is rebuilt from a working set W: the cached basis plus the violating
+/// arrivals.  Each candidate p.solve(W) is verified against the whole
+/// store, and the store's violators join W until none remains.  W only
+/// grows: p.solve(W) can return a candidate that an element of W itself
+/// violates (MinDisk on near-cocircular points), and a W replaced by
+/// basis ∪ violators can then cycle.  After `cap` candidates the node
+/// falls back to p.solve(store).
+///
+/// sent() is p.from_basis(solution().basis): the solution receivers test
+/// their stores against, computed whenever the solution is re-solved
+/// instead of once per received message (from_basis is a pure function of
+/// the basis).
+template <LpTypeProblem P>
+class LocalBasis {
+ public:
+  using Element = typename P::Element;
+  using Solution = typename P::Solution;
+
+  /// Bring the solution up to date with `store`, which must extend the
+  /// store of the previous call (append-only).  `work` is caller-owned
+  /// scratch for W.  Returns true iff the cap was exhausted and the node
+  /// fell back to p.solve(store).
+  bool update(const P& p, std::span<const Element> store,
+              std::vector<Element>& work, std::size_t cap) {
+    LPT_CHECK_MSG(store.size() >= solved_,
+                  "LocalBasis: store shrank without reset()");
+    if (solved_ == 0) {
+      adopt(p, p.solve(store), store.size());
+      return false;
+    }
+    work.assign(sol_.basis.begin(), sol_.basis.end());
+    const std::size_t basis_size = work.size();
+    for (const Element& h : store.subspan(solved_)) {
+      if (p.violates(sol_, h)) work.push_back(h);
+    }
+    solved_ = store.size();
+    if (work.size() == basis_size) return false;
+    for (std::size_t it = 0; it < cap; ++it) {
+      Solution cand = p.solve(std::span<const Element>(work));
+      const std::size_t before = work.size();
+      for (const Element& h : store) {
+        if (p.violates(cand, h)) work.push_back(h);
+      }
+      if (work.size() == before) {
+        adopt(p, std::move(cand), store.size());
+        return false;
+      }
+    }
+    adopt(p, p.solve(store), store.size());
+    return true;
+  }
+
+  /// Forget the cache: the store was cleared (a churn leave).
+  void reset() noexcept { solved_ = 0; }
+
+  const Solution& solution() const noexcept { return sol_; }
+  const Solution& sent() const noexcept { return sent_; }
+  std::size_t solved_size() const noexcept { return solved_; }
+
+ private:
+  // Every caller has just solved and scanned the store, so one more
+  // from_basis per adopted solution is noise next to that.
+  void adopt(const P& p, Solution sol, std::size_t solved) {
+    sol_ = std::move(sol);
+    solved_ = solved;
+    sent_ = p.from_basis(sol_.basis);
+  }
+
+  Solution sol_{};
+  Solution sent_{};
+  std::size_t solved_ = 0;  // store size sol_ is the optimum of; 0: none
 };
 
 }  // namespace detail
@@ -182,16 +279,19 @@ HighLoadResult<P> run_high_load(const P& p,
   res.stats.initial_total_elements = store.total_elements();
   res.stats.max_total_elements = res.stats.initial_total_elements;
 
-  // Per-node round scratch for the compute stages; persistent across
-  // rounds so the steady state allocates nothing.  Only occupied nodes are
-  // ever visited; the rest keep their zero-initialized state.
+  // Per-node state for the compute stages, persistent across rounds (the
+  // cached local optimum; scratch vectors keep their capacity).  Only
+  // occupied nodes are ever visited; the rest keep their zero-initialized
+  // state.
   struct NodeRound {
-    std::uint8_t has_sol = 0;
-    typename P::Solution sol;
+    detail::LocalBasis<P> local;     // cached local optimum (stage A1)
+    std::uint8_t has_sol = 0;        // proposed a basis this round
+    std::uint8_t fell_back = 0;      // A1 hit the incremental cap
     std::vector<Element> violators;  // across all received bases, in order
     std::size_t max_single_w = 0;    // largest per-basis W_j this round
   };
   std::vector<NodeRound> scratch(n);
+  std::uint64_t local_fallbacks = 0;
 
   std::optional<util::ThreadPool> pool;
   if (cfg.parallel_nodes > 1) pool.emplace(cfg.parallel_nodes);
@@ -224,6 +324,7 @@ HighLoadResult<P> run_high_load(const P& p,
         continue;
       }
       members->leave(v);  // before handoff: targets exclude the leaver
+      scratch[v].local.reset();  // its store is about to be cleared
       const std::span<const Element> view = store.view(v);
       if (view.empty()) continue;
       handoff_scratch.assign(view.begin(), view.end());
@@ -252,50 +353,56 @@ HighLoadResult<P> run_high_load(const P& p,
     // Lines 3-4: local basis computation and C pushes.  Nodes holding no
     // element yet have nothing to propose (f(∅) would mark *everything* a
     // violator); they only participate as receivers this round.  The
-    // solves touch only node-local state (stage A, parallelizable); the
-    // pushes replay serially in ascending node order (stage B, the sorted
-    // occupied list), so parallel runs are bit-identical to serial ones.
+    // incremental solves (detail::LocalBasis) touch only node-local state
+    // (stage A1, parallelizable); the pushes replay serially in ascending
+    // node order (stage B1, the sorted occupied list), so parallel runs are
+    // bit-identical to serial ones.
     for_each_occupied([&](gossip::NodeId v) {
       NodeRound& sc = scratch[v];
       sc.has_sol = 0;
+      sc.fell_back = 0;
       // A departed node's store is empty (cleared on leave): no proposal.
       if (net.asleep(v) || store.size(v) == 0) return;
       sc.has_sol = 1;
-      sc.sol = p.solve(store.view(v));
+      thread_local std::vector<Element> work;
+      sc.fell_back = sc.local.update(p, store.view(v), work, d + 1);
     });
     for (const gossip::NodeId v : occupied) {
       ++bookkeeping;
       NodeRound& sc = scratch[v];
       if (!sc.has_sol) continue;
-      if (!found && p.same_value(sc.sol, oracle)) {
+      local_fallbacks += sc.fell_back;
+      const auto& sol = sc.local.solution();
+      if (!found && p.same_value(sol, oracle)) {
         found = true;
-        res.solution = sc.sol;
+        res.solution = sol;
         res.stats.rounds_to_first = t;
         res.stats.reached_optimum = true;
       }
       if (cfg.run_termination) {
-        term.inject(v, static_cast<std::uint32_t>(t), sc.sol);
+        term.inject(v, static_cast<std::uint32_t>(t), sol);
       }
-      for (std::size_t k = 0; k < c_copies; ++k) {
-        basis_mail.push(v, Msg{sc.sol.basis});
-      }
+      const Msg msg = Msg::announce(v, sol.basis);
+      for (std::size_t k = 0; k < c_copies; ++k) basis_mail.push(v, msg);
       if (store.size(v) > res.extras.max_local_elements) {
         res.extras.max_local_elements = store.size(v);
       }
     }
     basis_mail.deliver();
 
-    // Lines 5-7: violator pushes for every received basis.  Stage A scans
-    // locally (only occupied nodes can produce violators — an empty store
-    // has none to offer, so basis copies landing on empty nodes need no
-    // scan); stage B pushes in ascending node order.
+    // Lines 5-7: violator pushes for every received basis.  Stage A2 scans
+    // locally against the sender's precomputed solution, which A1 wrote
+    // and nothing writes again before the next round's A1 (only occupied
+    // nodes can produce violators — an empty store has none to offer, so
+    // basis copies landing on empty nodes need no scan); stage B2 pushes
+    // in ascending node order.
     for_each_occupied([&](gossip::NodeId v) {
       NodeRound& sc = scratch[v];
       sc.violators.clear();
       sc.max_single_w = 0;
       if (net.asleep(v) || store.size(v) == 0) return;
-      for (const auto& msg : basis_mail.inbox(v)) {
-        const auto sol_j = p.from_basis(msg.basis);
+      for (const Msg& msg : basis_mail.inbox(v)) {
+        const auto& sol_j = scratch[msg.sender].local.sent();
         std::size_t w = 0;
         for (const auto& h : store.view(v)) {
           if (p.violates(sol_j, h)) {
@@ -373,6 +480,7 @@ HighLoadResult<P> run_high_load(const P& p,
   res.stats.final_total_elements = store.total_elements();
   obs::counter("engine.high_load.runs").add(1);
   obs::counter("engine.high_load.rounds").add(res.stats.rounds_to_first);
+  obs::counter("engine.high_load.local_fallbacks").add(local_fallbacks);
   obs::gauge("engine.high_load.store_arena_bytes")
       .set(static_cast<std::int64_t>(store.arena_bytes()));
   return res;

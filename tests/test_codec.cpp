@@ -87,11 +87,15 @@ TEST(Codec, WireSizeContractElementId) {
 
 TEST(Codec, WireSizeContractBasisMessage) {
   // High-load basis message: d points, no padding beyond the elements.
-  core::detail::BasisMsg<geom::Vec2> msg;
-  msg.basis = {{1, 2}, {3, 4}, {5, 6}};
+  // The simulator carries the sender's id; the meter charges the basis a
+  // real wire would carry.
+  const std::vector<geom::Vec2> basis{{1, 2}, {3, 4}, {5, 6}};
+  const auto msg = core::detail::BasisMsg<geom::Vec2>::announce(
+      7, std::span<const geom::Vec2>(basis));
+  EXPECT_EQ(msg.sender, 7u);
   EXPECT_EQ(wire_size(msg), 3 * kWireBytesVec2);
   Encoder enc;
-  enc.put_sequence(std::span<const geom::Vec2>(msg.basis));
+  enc.put_sequence(std::span<const geom::Vec2>(basis));
   // Codec adds a 4-byte length prefix; the meter charges elements only —
   // the prefix is O(1) bits and does not change the O(log n) accounting.
   EXPECT_EQ(enc.size(), 4 + 3 * kWireBytesVec2);
@@ -113,9 +117,10 @@ TEST(Codec, MessageBitsAreLogarithmic) {
   // of fixed precision.  This test pins those constants so accidental
   // message-format growth is caught.
   EXPECT_LE(8 * wire_size(geom::Vec2{}), 128u);
-  core::detail::BasisMsg<geom::Vec2> basis;
-  basis.basis.resize(3);
-  EXPECT_LE(8 * wire_size(basis), 384u);
+  const std::vector<geom::Vec2> basis(3);
+  const auto msg = core::detail::BasisMsg<geom::Vec2>::announce(
+      0, std::span<const geom::Vec2>(basis));
+  EXPECT_LE(8 * wire_size(msg), 384u);
 }
 
 }  // namespace

@@ -188,5 +188,31 @@ TEST(HighLoad, SingleNodeSolvesImmediately) {
   EXPECT_EQ(res.stats.rounds_to_first, 1u);
 }
 
+TEST(HighLoad, ChurnLeaveResetsLocalBasis) {
+  // Nodes 0..7 leave in round 4 and rejoin in round 5, with push loss
+  // stretching the run to 17 rounds.  Node 3, for one, has solved a
+  // 3-element store when it leaves, proposes again from a 1-element store
+  // in round 6 and holds 10 elements by round 17.  A leave that kept the
+  // cache would test only the new store's tail against the old optimum;
+  // LocalBasis's shrink check aborts that on the first refill round.
+  MinDisk p;
+  const std::size_t n = 256;
+  const auto pts = testsupport::make_disk_points(DiskDataset::kHull, n, 41);
+  core::ChurnSchedule churn;
+  for (gossip::NodeId v = 0; v < 8; ++v) {
+    churn.events.push_back({4, v, false});
+    churn.events.push_back({5, v, true});
+  }
+  churn.sort();
+  HighLoadConfig cfg;
+  cfg.seed = 43;
+  cfg.churn = &churn;
+  cfg.faults.push_loss = 0.3;
+  const auto res = run_high_load(p, pts, n, cfg);
+  ASSERT_TRUE(res.stats.reached_optimum);
+  EXPECT_TRUE(p.same_value(res.solution, p.solve(pts)));
+  EXPECT_GE(res.stats.rounds_to_first, 12u);
+}
+
 }  // namespace
 }  // namespace lpt

@@ -189,26 +189,67 @@ TEST(ParallelNodes, LowLoadBitIdenticalUnderFaults) {
 }
 
 TEST(ParallelNodes, HighLoadBitIdenticalToSerial) {
+  // The golden triangle at n = 256, then hull at n = 2^11, which runs long
+  // enough that the nodes' cached local bases and sender-side solutions
+  // live across many rounds of pool threads.  The last configuration adds
+  // push loss and a churn schedule (nodes leaving, which resets their
+  // caches, and rejoining).
   MinDisk p;
-  const std::size_t n = 256;
-  const auto pts = testsupport::golden_disk_points(DiskDataset::kTriangle, n);
+  core::ChurnSchedule churn;
+  for (gossip::NodeId v = 0; v < 64; ++v) {
+    const std::size_t leave = 2 + v % 4;
+    churn.events.push_back({leave, v * 29, false});
+    churn.events.push_back({leave + 2, v * 29, true});
+  }
+  churn.sort();
 
-  core::HighLoadConfig serial_cfg;
-  serial_cfg.seed = 55;
-  const auto serial = core::run_high_load(p, pts, n, serial_cfg);
+  struct Case {
+    const char* name;
+    std::vector<geom::Vec2> pts;
+    std::size_t min_rounds;
+    bool faulty;
+  };
+  const std::vector<Case> cases{
+      {"triangle-256",
+       testsupport::golden_disk_points(DiskDataset::kTriangle, 256), 1,
+       false},
+      {"hull-2048", testsupport::make_disk_points(DiskDataset::kHull, 2048, 55),
+       8, false},
+      {"hull-2048-loss-churn",
+       testsupport::make_disk_points(DiskDataset::kHull, 2048, 55), 8, true},
+  };
 
-  for (const std::size_t threads : {2, 4}) {
-    core::HighLoadConfig cfg;
-    cfg.seed = 55;
-    cfg.parallel_nodes = threads;
-    const auto par = core::run_high_load(p, pts, n, cfg);
-    EXPECT_EQ(serial.solution.basis, par.solution.basis) << threads;
-    EXPECT_EQ(serial.stats.rounds_to_first, par.stats.rounds_to_first);
-    EXPECT_EQ(serial.stats.total_push_ops, par.stats.total_push_ops);
-    EXPECT_EQ(serial.stats.total_bytes, par.stats.total_bytes);
-    EXPECT_EQ(serial.stats.max_total_elements, par.stats.max_total_elements);
-    EXPECT_EQ(serial.extras.max_single_w, par.extras.max_single_w);
-    EXPECT_EQ(serial.extras.max_local_elements, par.extras.max_local_elements);
+  for (const Case& c : cases) {
+    const std::size_t n = c.pts.size();
+    core::HighLoadConfig serial_cfg;
+    serial_cfg.seed = 55;
+    if (c.faulty) {
+      serial_cfg.faults.push_loss = 0.2;
+      serial_cfg.churn = &churn;
+    }
+    const auto serial = core::run_high_load(p, c.pts, n, serial_cfg);
+    ASSERT_TRUE(serial.stats.reached_optimum) << c.name;
+    EXPECT_GE(serial.stats.rounds_to_first, c.min_rounds) << c.name;
+
+    for (const std::size_t threads : {2, 4}) {
+      core::HighLoadConfig cfg = serial_cfg;
+      cfg.parallel_nodes = threads;
+      const auto par = core::run_high_load(p, c.pts, n, cfg);
+      SCOPED_TRACE(testing::Message() << c.name << " threads " << threads);
+      EXPECT_EQ(serial.solution, par.solution);
+      EXPECT_EQ(serial.stats.rounds_to_first, par.stats.rounds_to_first);
+      EXPECT_EQ(serial.stats.total_push_ops, par.stats.total_push_ops);
+      EXPECT_EQ(serial.stats.total_bytes, par.stats.total_bytes);
+      EXPECT_EQ(serial.stats.max_work_per_round,
+                par.stats.max_work_per_round);
+      EXPECT_EQ(serial.stats.max_total_elements,
+                par.stats.max_total_elements);
+      EXPECT_EQ(serial.stats.final_total_elements,
+                par.stats.final_total_elements);
+      EXPECT_EQ(serial.extras.max_single_w, par.extras.max_single_w);
+      EXPECT_EQ(serial.extras.max_local_elements,
+                par.extras.max_local_elements);
+    }
   }
 }
 
