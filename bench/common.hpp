@@ -64,40 +64,41 @@ inline std::size_t threads_flag(const util::Cli& cli) {
 /// The shared --shards / --shard-transport flags: benches opt sweeps into
 /// the shard runtime with --shards=N (0 = disabled, the default; results
 /// are bit-identical either way) and pick the worker transport with
-/// --shard-transport=inproc|pipe|socket (default inproc).
+/// --shard-transport=inproc|pipe|socket (default inproc).  Any other value
+/// exits 2 (util::invalid_flag_value).
 inline shard::ShardConfig shard_flags(const util::Cli& cli) {
   shard::ShardConfig cfg;
   const std::int64_t shards = cli.get_int("shards", 0);
   if (shards < 0) {
-    std::fprintf(stderr, "--shards=%lld is negative, running unsharded\n",
-                 static_cast<long long>(shards));
-  } else {
-    cfg.shards = static_cast<std::size_t>(shards);
+    util::invalid_flag_value("shards", cli.get("shards", ""),
+                             "a non-negative shard count");
   }
+  cfg.shards = static_cast<std::size_t>(shards);
   const std::string transport = cli.get("shard-transport", "inproc");
   if (transport == "pipe") {
     cfg.transport = shard::TransportKind::kPipe;
   } else if (transport == "socket") {
     cfg.transport = shard::TransportKind::kSocket;
   } else if (transport != "inproc") {
-    std::fprintf(stderr, "unknown --shard-transport=%s, using inproc\n",
-                 transport.c_str());
+    util::invalid_flag_value("shard-transport", transport,
+                             "inproc, pipe or socket");
   }
   return cfg;
 }
 
-/// The shared --dataset flag: resolve a Figure 1 disk dataset by name,
-/// warning and falling back to duo-disk on an unknown name.
+/// The shared --dataset flag: resolve a Figure 1 disk dataset by name;
+/// an unknown name exits 2 (util::invalid_flag_value).
 inline workloads::DiskDataset dataset_flag(const util::Cli& cli,
                                            const std::string& def =
                                                "duo-disk") {
   const std::string name = cli.get("dataset", def);
+  std::string names;
   for (const auto d : workloads::kAllDiskDatasets) {
     if (workloads::dataset_name(d) == name) return d;
+    if (!names.empty()) names += ", ";
+    names += workloads::dataset_name(d);
   }
-  std::fprintf(stderr, "unknown --dataset=%s, using duo-disk\n",
-               name.c_str());
-  return workloads::kAllDiskDatasets[0];
+  util::invalid_flag_value("dataset", name, "one of " + names);
 }
 
 /// Standard bench banner.

@@ -8,11 +8,13 @@
 // Usage: shard_scaling [--i=10] [--reps=3] [--dataset=duo-disk]
 //                      [--shard-counts=1,2,4]
 //                      [--transports=inproc,pipe,socket]
-//                      [--kill-shard=1] [--kill-after-frames=2]
+//                      [--kill-shard=1] [--kill-after-frames=1]
 //
 // Writes BENCH_shard_scaling.json: a "serial" series with the baseline
 // point and one series per transport ("inproc" / "pipe" / "socket") with
-// one row per shard count carrying wall_per_rep and speedup_vs_serial.  On
+// one row per shard count carrying wall_per_rep, speedup_vs_serial and the
+// frame payload bytes per simulated round (task, result and round-state
+// bytes, all workers together, from the shard.* registry counters).  On
 // a 1-core runner the interesting number is the *overhead* (speedup < 1:
 // frame encode/decode + transport cost); on multicore the per-shard
 // stage-A compute overlaps.  The socket rows run the full multi-machine
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -190,6 +193,7 @@ int main(int argc, char** argv) {
     for (const std::size_t shards : shard_counts) {
       double secs = 0.0;
       util::RunningStat rounds;
+      const obs::Snapshot before = obs::snapshot();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         core::LowLoadConfig cfg;
         cfg.seed = 1 + rep * 7919;
@@ -204,6 +208,15 @@ int main(int argc, char** argv) {
       const double per_rep = secs / static_cast<double>(reps);
       const double speedup = per_rep > 0.0 ? serial_per_rep / per_rep : 0.0;
       if (shards == shard_counts.back()) faultfree_wall[t_idx] = per_rep;
+      // Frame payload bytes per simulated round, from the registry.
+      const obs::Snapshot moved = obs::snapshot().delta(before);
+      const double total_rounds = rounds.mean() * static_cast<double>(reps);
+      auto per_round = [&](std::string_view counter) {
+        return total_rounds > 0.0
+                   ? static_cast<double>(moved.counter_value(counter)) /
+                         total_rounds
+                   : 0.0;
+      };
       table.add_row({transport.name, util::fmt(shards),
                      util::fmt(rounds.mean(), 2), util::fmt(per_rep, 4),
                      util::fmt(speedup, 2)});
@@ -213,7 +226,12 @@ int main(int argc, char** argv) {
                     {"shards", static_cast<double>(shards)},
                     {"mean_rounds", rounds.mean()},
                     {"wall_per_rep", per_rep},
-                    {"speedup_vs_serial", speedup}});
+                    {"speedup_vs_serial", speedup},
+                    {"task_bytes_per_round", per_round("shard.task_bytes")},
+                    {"result_bytes_per_round",
+                     per_round("shard.result_bytes")},
+                    {"round_state_bytes_per_round",
+                     per_round("shard.round_state_bytes")}});
     }
   }
 

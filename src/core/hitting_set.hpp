@@ -29,7 +29,8 @@
 // selection draws second — and the W_i pushes replay on the shared stream
 // in ascending node order in stage B, so results are bit-identical to a
 // serial full scan for any parallel_nodes value, shard count and
-// transport.
+// transport (shard workers pull from the round's gossip::StoreSnapshot,
+// which holds every node's elements in NodeStore order).
 #pragma once
 
 #include <cmath>
@@ -106,8 +107,9 @@ inline std::size_t hitting_set_sample_size(std::size_t d, std::size_t s) {
 namespace detail {
 
 /// Per-worker scratch for one hitting-set stage-A node evaluation
-/// (thread_local in the in-process path, closure-owned on shard workers).
+/// (thread_local in the in-process path, serve-owned on shard workers).
 struct HsStageAScratch {
+  std::vector<std::uint32_t> pulled;  // the node's pulled sample
   SampleOutcome<std::uint32_t> outcome;
   std::vector<std::uint8_t> hit;
   std::vector<std::uint32_t> unhit;
@@ -120,18 +122,23 @@ enum class HsNodeOutcome : std::uint8_t {
             // empty or over the push cap; the caller applies the cap)
 };
 
-/// One node's stage A (sample selection, hit marking, W_i assembly) from
-/// explicit inputs — the single definition executed by both the in-process
-/// chunk loop and the shard workers.  Consumes `rng` exactly as a serial
-/// full scan would.
-inline HsNodeOutcome hitting_set_node_stage_a(
-    const problems::HittingSetProblem& problem,
-    std::span<std::uint32_t> responses, std::size_t r, bool strict,
-    std::span<const std::uint32_t> local, util::Rng& rng, HsStageAScratch& scr,
-    std::vector<std::uint32_t>& sample, std::vector<std::uint32_t>& wi) {
+/// One node's stage A (Section 2.1 pulls, sample selection, hit marking,
+/// W_i assembly) — the single definition executed by both the in-process
+/// chunk loop (on the NodeStore and Network) and the shard workers (on the
+/// round's StoreSnapshot).  Consumes `rng` exactly as a serial full scan
+/// would; adds the pull-response bytes to `bytes`.
+template <typename Store, typename Sleep>
+HsNodeOutcome hitting_set_node_stage_a(
+    const problems::HittingSetProblem& problem, const SamplerConfig& sampler,
+    const Store& store, const Sleep& sleep, gossip::NodeId v, util::Rng& rng,
+    HsStageAScratch& scr, std::vector<std::uint32_t>& sample,
+    std::vector<std::uint32_t>& wi, std::uint64_t& bytes) {
   const auto& sys = problem.system();
   const std::size_t s = sys.set_count();
-  select_distinct_into(responses, r, rng, strict, scr.outcome);
+  bytes += pull_sample(store, sleep, sampler.pulls_per_node(), rng,
+                       scr.pulled);
+  select_distinct_into(scr.pulled, sampler.target, rng, sampler.strict,
+                       scr.outcome);
   if (!scr.outcome.success) return HsNodeOutcome::kFailed;
   // S_i: sets not hit by R_i.
   problem.mark_hit(scr.outcome.sample, scr.hit);
@@ -146,6 +153,7 @@ inline HsNodeOutcome hitting_set_node_stage_a(
   }
   // Random unhit set; W_i = S \ X(v_i) (lines 6-9; cap applied by caller).
   const auto& chosen = sys.set(scr.unhit[rng.below(scr.unhit.size())]);
+  const auto local = store.view(v);
   wi.clear();
   for (auto x : chosen) {
     bool have = false;
@@ -160,45 +168,77 @@ inline HsNodeOutcome hitting_set_node_stage_a(
   return HsNodeOutcome::kPusher;
 }
 
-/// Build the stage-A serve handler every hitting-set shard worker runs.
-/// Captures the problem by value: the set system is part of the problem
-/// description every node knows (Section 4), so it ships once at spawn
-/// (fork inheritance / closure copy), never per round.
+/// Encode one hitting-set task payload for nodes [r.begin, r.end).
 ///
 /// Task payload (after the MsgType byte):
 ///   u32 r · u64 push_cap · u32 begin · u32 end · per node:
-///     u8 flags; if kActive: rng state, responses seq, local-elements seq.
+///     u8 flags; if kActive: rng state.
+/// Nothing else: the worker pulls each node's sample from the round's
+/// StoreSnapshot and reads the node's own multiset there.
+inline void put_hitting_set_task(gossip::Encoder& e, shard::ShardRange rg,
+                                 std::size_t r, std::size_t push_cap,
+                                 const gossip::Network& net,
+                                 std::span<const util::Rng> node_rng) {
+  e.put_u32(static_cast<std::uint32_t>(r));
+  e.put_u64(static_cast<std::uint64_t>(push_cap));
+  e.put_u32(rg.begin);
+  e.put_u32(rg.end);
+  for (gossip::NodeId v = rg.begin; v < rg.end; ++v) {
+    if (net.asleep(v)) {
+      e.put_u8(0);
+      continue;
+    }
+    e.put_u8(shard::nodeflag::kActive);
+    shard::put_rng(e, node_rng[v]);
+  }
+}
+
+/// The stage-A serve handler every hitting-set shard worker runs.  Holds
+/// the problem by value — the set system is part of the problem
+/// description every node knows (Section 4), so it ships once at spawn
+/// (fork inheritance / closure copy), never per round — plus the run's
+/// sampler constants (the per-stage sample size r arrives with each task),
+/// the round's StoreSnapshot, and per-worker scratch.
+///
+/// Round state: the StoreSnapshot (shard::get_store_snapshot).
+/// Task payload: see put_hitting_set_task.
 /// Result payload:
 ///   per node: u8 flags; if kActive: rng state (advanced); if kWinner:
 ///   winning-sample seq; else if kReplay: capped W_i seq — then
-///   u32 attempts, u32 failures.
-inline auto make_hitting_set_serve(problems::HittingSetProblem problem,
-                                   bool strict) {
+///   u32 attempts, u32 failures, u64 pull-response bytes.
+struct HittingSetServe {
   using Element = std::uint32_t;
-  return [problem = std::move(problem), strict, rng = util::Rng{},
-          scr = HsStageAScratch{}, responses = std::vector<Element>{},
-          local = std::vector<Element>{}, sample = std::vector<Element>{},
-          wi = std::vector<Element>{}](gossip::Decoder& d,
-                                       gossip::Encoder& e) mutable {
-    const std::uint32_t r = d.get_u32();
+
+  problems::HittingSetProblem problem;
+  SamplerConfig sampler;  // c, log_n, strict; target set per task
+  gossip::StoreSnapshot<Element> snap{};  // this round's, from round_state
+  util::Rng rng{};
+  HsStageAScratch scr{};
+  std::vector<Element> sample{};
+  std::vector<Element> wi{};
+
+  void round_state(gossip::Decoder& d) { shard::get_store_snapshot(d, snap); }
+
+  void operator()(gossip::Decoder& d, gossip::Encoder& e) {
+    sampler.target = d.get_u32();
     const std::uint64_t push_cap = d.get_u64();
     const gossip::NodeId begin = d.get_u32();
     const gossip::NodeId end = d.get_u32();
     shard::put_msg_type(e, shard::MsgType::kStageAResult);
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
+    std::uint64_t bytes = 0;
     for (gossip::NodeId v = begin; v < end; ++v) {
       if (!(d.get_u8() & shard::nodeflag::kActive)) {
         e.put_u8(0);
         continue;
       }
+      LPT_CHECK_MSG(v < snap.nodes(),
+                    "shard worker: active node outside the round state");
       shard::get_rng(d, rng);
-      shard::get_seq(d, responses);
-      shard::get_seq(d, local);
       ++attempts;
       const HsNodeOutcome out = hitting_set_node_stage_a(
-          problem, std::span<Element>(responses), r, strict,
-          std::span<const Element>(local), rng, scr, sample, wi);
+          problem, sampler, snap, snap, v, rng, scr, sample, wi, bytes);
       std::uint8_t flags = shard::nodeflag::kActive;
       if (out == HsNodeOutcome::kFailed) {
         ++failures;
@@ -217,8 +257,9 @@ inline auto make_hitting_set_serve(problems::HittingSetProblem problem,
     }
     e.put_u32(attempts);
     e.put_u32(failures);
-  };
-}
+    e.put_u64(bytes);
+  }
+};
 
 }  // namespace detail
 
@@ -284,9 +325,12 @@ inline HittingSetRunResult run_hitting_set(
     // bootstrap-over-wire worker would need a set-system codec — a
     // documented limitation until one exists (socket workers are still
     // fork()ed locally, so inheritance holds on one box).
-    harness.emplace(
-        n, cfg.shard,
-        detail::make_hitting_set_serve(problem, cfg.strict_sampling));
+    SamplerConfig run_sampler;
+    run_sampler.c = cfg.sampler_c;
+    run_sampler.log_n = log_n;
+    run_sampler.strict = cfg.strict_sampling;
+    harness.emplace(n, cfg.shard,
+                    detail::HittingSetServe{problem, run_sampler});
   }
 
   std::optional<util::ThreadPool> pool;
@@ -306,7 +350,6 @@ inline HittingSetRunResult run_hitting_set(
       pool ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
   std::vector<ChunkAcc> chunks(sharded ? harness->frame_count()
                                        : util::chunk_count(n, chunk));
-  std::vector<Element> encode_pulled;  // shard path: the sample being encoded
 
   while (!done) {
     const std::size_t r = cfg.sample_size
@@ -353,7 +396,6 @@ inline HittingSetRunResult run_hitting_set(
       // parallel runs bit-identical to serial ones.
       auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
         thread_local detail::HsStageAScratch scr;
-        thread_local std::vector<Element> pulled;  // the node's sample
         ChunkAcc& ch = chunks[k];
         ch.replay.clear();
         ch.attempts = 0;
@@ -365,10 +407,9 @@ inline HittingSetRunResult run_hitting_set(
           sc.winner = 0;
           if (net.asleep(v)) continue;
           ++ch.attempts;
-          ch.bytes += pull_sample(store, net, pulls, node_rng[v], pulled);
           const detail::HsNodeOutcome out = detail::hitting_set_node_stage_a(
-              problem, std::span<Element>(pulled), r, sampler.strict,
-              store.view(v), node_rng[v], scr, sc.sample, sc.wi);
+              problem, sampler, store, net, v, node_rng[v], scr, sc.sample,
+              sc.wi, ch.bytes);
           if (out == detail::HsNodeOutcome::kFailed) {
             ++ch.failures;
             continue;
@@ -384,27 +425,19 @@ inline HittingSetRunResult run_hitting_set(
         }
       };
       if (sharded) {
-        // Ship each shard its stage-A inputs in bounded sub-frames;
-        // frame-indexed ChunkAccs walked in order by stage B recover the
-        // ascending node order (the deterministic-merge contract).  The
-        // coordinator draws each node's pulls while encoding and ships the
-        // stream state advanced past them (see run_low_load).
+        // Ship every worker the round's store snapshot once, then each
+        // shard its per-node flags and RNG states in bounded sub-frames
+        // (see run_low_load); frame-indexed ChunkAccs walked in order by
+        // stage B recover the ascending node order (the
+        // deterministic-merge contract).
         harness->round(
+            [&](gossip::Encoder& e) {
+              shard::put_store_snapshot(e, store, net);
+            },
             [&](shard::ShardRange rg, gossip::Encoder& e) {
-              e.put_u32(static_cast<std::uint32_t>(r));
-              e.put_u64(static_cast<std::uint64_t>(push_cap));
-              e.put_u32(rg.begin);
-              e.put_u32(rg.end);
-              for (gossip::NodeId v = rg.begin; v < rg.end; ++v) {
-                const bool active = !net.asleep(v);
-                e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-                if (!active) continue;
-                net.meter().add_response_bytes(
-                    pull_sample(store, net, pulls, node_rng[v], encode_pulled));
-                shard::put_rng(e, node_rng[v]);
-                shard::put_seq(e, std::span<const Element>(encode_pulled));
-                shard::put_seq(e, store.view(v));
-              }
+              detail::put_hitting_set_task(
+                  e, rg, r, push_cap, net,
+                  std::span<const util::Rng>(node_rng));
             },
             [&](std::size_t frame, shard::ShardRange rg,
                 gossip::Decoder& dec) {
@@ -428,6 +461,7 @@ inline HittingSetRunResult run_hitting_set(
               }
               ch.attempts = dec.get_u32();
               ch.failures = dec.get_u32();
+              ch.bytes = dec.get_u64();
             });
       } else {
         util::parallel_chunks(pool ? &*pool : nullptr, n, chunk, stage_a);

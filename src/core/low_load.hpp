@@ -52,7 +52,9 @@
 // serially in ascending node order in stage B (the chunked stage-A
 // collection preserves that order exactly), and the filter pass consumes
 // per-node streams only — so results are bit-identical for every thread
-// count, shard count and transport.
+// count, shard count and transport.  Shard workers pull from the round's
+// gossip::StoreSnapshot, which holds every node's elements in NodeStore
+// order, so a node's stream draws the same sample there as in-process.
 #pragma once
 
 #include <algorithm>
@@ -148,17 +150,16 @@ namespace detail {
 // NSDMI referencing a function-local constexpr inside a template.
 inline constexpr gossip::NodeId kNoNodeId = 0xffffffffu;
 
-/// One node's stage-A compute (sample selection, local solve, violator
-/// scan) from explicit inputs — the single definition executed by both the
-/// in-process chunk loop and the shard workers, so the two paths cannot
-/// drift.  Consumes `rng` exactly as a serial full scan would; returns
-/// false when the sample failed (no solve, no further draws).
+/// One node's stage-A compute after its pulls (sample selection, local
+/// solve, violator scan) from explicit inputs.  Consumes `rng` exactly as
+/// a serial full scan would; returns false when the sample failed (no
+/// solve, no further draws).
 template <LpTypeProblem P>
-bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
-                           std::span<typename P::Element> responses,
-                           std::span<const typename P::Element> local,
-                           util::Rng& rng, typename P::Solution& sol,
-                           std::vector<typename P::Element>& violators) {
+bool low_load_node_solve(const P& p, const SamplerConfig& sampler,
+                         std::span<typename P::Element> responses,
+                         std::span<const typename P::Element> local,
+                         util::Rng& rng, typename P::Solution& sol,
+                         std::vector<typename P::Element>& violators) {
   const SampleView<typename P::Element> view =
       select_distinct_view(responses, sampler.target, rng, sampler.strict);
   if (!view.success) return false;
@@ -179,34 +180,86 @@ bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
   return true;
 }
 
+/// One node's pull-based stage A: its Section 2.1 pulls into `pulled`
+/// (response bytes added to `bytes`), then low_load_node_solve over its
+/// own multiset — the single definition executed by both the in-process
+/// chunk loop (on the NodeStore and Network) and the shard workers (on the
+/// round's StoreSnapshot), so the two paths cannot drift.
+template <LpTypeProblem P, typename Store, typename Sleep>
+bool low_load_node_stage_a(const P& p, const SamplerConfig& sampler,
+                           const Store& store, const Sleep& sleep,
+                           gossip::NodeId v, util::Rng& rng,
+                           std::vector<typename P::Element>& pulled,
+                           typename P::Solution& sol,
+                           std::vector<typename P::Element>& violators,
+                           std::uint64_t& bytes) {
+  bytes += pull_sample(store, sleep, sampler.pulls_per_node(), rng, pulled);
+  return low_load_node_solve(
+      p, sampler, std::span<typename P::Element>(pulled), store.view(v), rng,
+      sol, violators);
+}
+
 /// The sharded runtime is available for P when its element and solution
 /// types have shard wire codecs (shard/wire.hpp customization point).
 template <typename P>
 concept ShardableLowLoad = shard::Wirable<typename P::Element> &&
                            shard::Wirable<typename P::Solution>;
 
-/// Build the stage-A serve handler every low-load shard worker runs.
-/// Captures only run-static state (problem, oracle, sampler constants) by
-/// value, so it stays valid in a fork()ed child and is data-race-free
-/// across in-process worker threads (each worker owns a copy).
+/// Encode one low-load task payload for nodes [r.begin, r.end).
 ///
 /// Task payload (after the MsgType byte):
 ///   u8 found_snapshot · u32 begin · u32 end · per node in [begin, end):
-///     u8 flags; if kActive: rng state, responses seq, local-elements seq.
+///     u8 flags; if kActive: rng state.
+/// Nothing else: the worker pulls each node's sample from the round's
+/// StoreSnapshot and reads the node's own multiset there.
+template <typename Active>
+void put_low_load_task(gossip::Encoder& e, shard::ShardRange r,
+                       bool found_snapshot, Active&& active,
+                       std::span<const util::Rng> node_rng) {
+  e.put_u8(found_snapshot ? 1 : 0);
+  e.put_u32(r.begin);
+  e.put_u32(r.end);
+  for (gossip::NodeId v = r.begin; v < r.end; ++v) {
+    if (!active(v)) {
+      e.put_u8(0);
+      continue;
+    }
+    e.put_u8(shard::nodeflag::kActive);
+    shard::put_rng(e, node_rng[v]);
+  }
+}
+
+/// The stage-A serve handler every low-load shard worker runs.  Holds
+/// only run-static state (problem, oracle, sampler constants), the round's
+/// StoreSnapshot, and per-worker scratch, so it stays valid in a fork()ed
+/// child and is data-race-free across in-process worker threads (each
+/// worker owns a copy).
+///
+/// Round state: the StoreSnapshot (shard::get_store_snapshot).
+/// Task payload: see put_low_load_task.
 /// Result payload:
 ///   per node: u8 flags; if kActive: rng state (advanced); if kReplay:
 ///   violators seq; if kSolution: solution — then u32 attempts,
-///   u32 failures, u32 first_opt (kNoNodeId when none).
+///   u32 failures, u32 first_opt (kNoNodeId when none), u64 pull-response
+///   bytes.
 template <LpTypeProblem P>
-auto make_low_load_serve(P p, typename P::Solution oracle,
-                         SamplerConfig sampler, bool run_termination) {
+struct LowLoadServe {
   using Element = typename P::Element;
   using Solution = typename P::Solution;
-  return [p = std::move(p), oracle = std::move(oracle), sampler,
-          run_termination, rng = util::Rng{}, sol = Solution{},
-          responses = std::vector<Element>{}, local = std::vector<Element>{},
-          violators = std::vector<Element>{}](gossip::Decoder& d,
-                                              gossip::Encoder& e) mutable {
+
+  P p;
+  Solution oracle;
+  SamplerConfig sampler;
+  bool run_termination = false;
+  gossip::StoreSnapshot<Element> snap{};  // this round's, from round_state
+  util::Rng rng{};
+  Solution sol{};
+  std::vector<Element> pulled{};
+  std::vector<Element> violators{};
+
+  void round_state(gossip::Decoder& d) { shard::get_store_snapshot(d, snap); }
+
+  void operator()(gossip::Decoder& d, gossip::Encoder& e) {
     const bool found_snapshot = d.get_u8() != 0;
     const gossip::NodeId begin = d.get_u32();
     const gossip::NodeId end = d.get_u32();
@@ -214,18 +267,18 @@ auto make_low_load_serve(P p, typename P::Solution oracle,
     std::uint32_t attempts = 0;
     std::uint32_t failures = 0;
     gossip::NodeId first_opt = kNoNodeId;
+    std::uint64_t bytes = 0;
     for (gossip::NodeId v = begin; v < end; ++v) {
       if (!(d.get_u8() & shard::nodeflag::kActive)) {
         e.put_u8(0);
         continue;
       }
+      LPT_CHECK_MSG(v < snap.nodes(),
+                    "shard worker: active node outside the round state");
       shard::get_rng(d, rng);
-      shard::get_seq(d, responses);
-      shard::get_seq(d, local);
       ++attempts;
-      const bool ok = low_load_node_stage_a(
-          p, sampler, std::span<Element>(responses),
-          std::span<const Element>(local), rng, sol, violators);
+      const bool ok = low_load_node_stage_a(p, sampler, snap, snap, v, rng,
+                                            pulled, sol, violators, bytes);
       std::uint8_t flags = shard::nodeflag::kActive;
       if (!ok) {
         ++failures;
@@ -255,12 +308,13 @@ auto make_low_load_serve(P p, typename P::Solution oracle,
     e.put_u32(attempts);
     e.put_u32(failures);
     e.put_u32(first_opt);
-  };
-}
+    e.put_u64(bytes);
+  }
+};
 
 /// Bootstrap payload for workers that inherit nothing via fork (the socket
 /// transport; ShardHarness frames these bytes as MsgType::kBootstrap): the
-/// run-static instance state make_low_load_serve would otherwise capture at
+/// run-static instance state a LowLoadServe would otherwise capture at
 /// fork time — the termination flag, the sampler constants, the oracle
 /// solution.  The problem *type* is compile time (a remote worker binary
 /// instantiates the same template); problems whose instances carry no
@@ -283,7 +337,7 @@ std::vector<std::uint8_t> low_load_bootstrap_payload(
 }
 
 /// The matching serve factory: decodes one low_load_bootstrap_payload and
-/// builds the same handler make_low_load_serve would have built — run from
+/// builds the same LowLoadServe a fork-inheriting harness gets — run from
 /// bootstrap_worker_loop inside every socket worker (and every respawned
 /// replacement, which gets the bootstrap re-sent).
 template <LpTypeProblem P>
@@ -297,8 +351,7 @@ auto make_low_load_bootstrap_factory(P p) {
     sampler.c = d.get_f64();
     typename P::Solution oracle;
     wire_get(d, oracle);
-    return make_low_load_serve<P>(p, std::move(oracle), sampler,
-                                  run_termination);
+    return LowLoadServe<P>{p, std::move(oracle), sampler, run_termination};
   };
 }
 }  // namespace detail
@@ -383,8 +436,8 @@ DistributedLpResult<P> run_low_load(const P& p,
                         detail::make_low_load_bootstrap_factory<P>(p));
       } else {
         harness.emplace(n, cfg.shard,
-                        detail::make_low_load_serve<P>(p, oracle, sampler,
-                                                       cfg.run_termination));
+                        detail::LowLoadServe<P>{p, oracle, sampler,
+                                                cfg.run_termination});
       }
     }
   }
@@ -455,7 +508,6 @@ DistributedLpResult<P> run_low_load(const P& p,
       parallel ? std::max<std::size_t>(64, n / (cfg.parallel_nodes * 8)) : n;
   std::vector<ChunkAcc> chunks(sharded ? harness->frame_count()
                                        : util::chunk_count(n, chunk));
-  std::vector<Element> encode_pulled;  // shard path: the sample being encoded
 
   bool found = false;
   for (std::size_t t = 1; t <= max_rounds; ++t) {
@@ -523,6 +575,9 @@ DistributedLpResult<P> run_low_load(const P& p,
     // and replayed in stage B in node order, making parallel runs
     // bit-identical to serial ones.
     const bool found_snapshot = found;
+    auto runs_stage_a = [&](gossip::NodeId v) {
+      return !net.asleep(v) && !in_pull_phase[v] && !absent(v);
+    };
     auto stage_a = [&](std::size_t k, std::size_t begin, std::size_t end) {
       obs::TraceSpan chunk_span("low_load.stage_a.chunk", k);
       // The node's sample, consumed (reordered in place) by its selection
@@ -536,11 +591,14 @@ DistributedLpResult<P> run_low_load(const P& p,
       ch.bytes = 0;
       for (std::size_t vi = begin; vi < end; ++vi) {
         const auto v = static_cast<gossip::NodeId>(vi);
-        if (net.asleep(v) || in_pull_phase[v] || absent(v)) continue;
+        if (!runs_stage_a(v)) continue;
         ++ch.attempts;
         NodeRound& sc = scratch[v];
+        bool ok;
         if (cfg.sampling == SamplingMode::kPullBased) {
-          ch.bytes += pull_sample(store, net, pulls, node_rng[v], pulled);
+          ok = detail::low_load_node_stage_a(p, sampler, store, net, v,
+                                             node_rng[v], pulled, sc.sol,
+                                             sc.violators, ch.bytes);
         } else {
           const std::size_t m = prefix[n];
           pulled.clear();
@@ -554,10 +612,11 @@ DistributedLpResult<P> run_low_load(const P& p,
                                         g - *it));
             net.meter().add_response_bytes(sizeof(Element));
           }
+          ok = detail::low_load_node_solve(p, sampler,
+                                           std::span<Element>(pulled),
+                                           store.view(v), node_rng[v],
+                                           sc.sol, sc.violators);
         }
-        const bool ok = detail::low_load_node_stage_a(
-            p, sampler, std::span<Element>(pulled), store.view(v),
-            node_rng[v], sc.sol, sc.violators);
         if (!ok) {
           ++ch.failures;
           continue;
@@ -574,30 +633,21 @@ DistributedLpResult<P> run_low_load(const P& p,
     bool ran_on_shards = false;
     if constexpr (kShardable) {
       if (sharded) {
-        // Ship each shard its per-node stage-A inputs in bounded
-        // sub-frames; per-frame results land in frame-indexed ChunkAccs,
-        // which stage B walks in index order — shard-major contiguous
-        // ascending ranges, i.e. the serial full-scan node order.  The
-        // store stays on the coordinator, so it draws each node's pulls
-        // while encoding (once per frame per round: the harness retains
-        // task bytes for replays) and ships the stream state advanced past
-        // them; the worker's selection draws continue from there.
+        // Ship every worker the round's store snapshot once, then each
+        // shard its per-node flags and RNG states in bounded sub-frames;
+        // the workers draw their nodes' pulls from the snapshot on those
+        // streams, exactly as the in-process stage A does.  Per-frame
+        // results land in frame-indexed ChunkAccs, which stage B walks in
+        // index order — shard-major contiguous ascending ranges, i.e. the
+        // serial full-scan node order.  Encoding only reads coordinator
+        // state, so the retained bytes replay bit-identically.
         harness->round(
+            [&](gossip::Encoder& e) {
+              shard::put_store_snapshot(e, store, net);
+            },
             [&](shard::ShardRange r, gossip::Encoder& e) {
-              e.put_u8(found_snapshot ? 1 : 0);
-              e.put_u32(r.begin);
-              e.put_u32(r.end);
-              for (gossip::NodeId v = r.begin; v < r.end; ++v) {
-                const bool active =
-                    !net.asleep(v) && !in_pull_phase[v] && !absent(v);
-                e.put_u8(active ? shard::nodeflag::kActive : std::uint8_t{0});
-                if (!active) continue;
-                net.meter().add_response_bytes(
-                    pull_sample(store, net, pulls, node_rng[v], encode_pulled));
-                shard::put_rng(e, node_rng[v]);
-                shard::put_seq(e, std::span<const Element>(encode_pulled));
-                shard::put_seq(e, store.view(v));
-              }
+              detail::put_low_load_task(e, r, found_snapshot, runs_stage_a,
+                                        std::span<const util::Rng>(node_rng));
             },
             [&](std::size_t frame, shard::ShardRange r,
                 gossip::Decoder& dec) {
@@ -619,6 +669,7 @@ DistributedLpResult<P> run_low_load(const P& p,
               ch.attempts = dec.get_u32();
               ch.failures = dec.get_u32();
               ch.first_opt = dec.get_u32();
+              ch.bytes = dec.get_u64();
             });
         ran_on_shards = true;
       }

@@ -37,18 +37,18 @@ namespace lpt::core {
 
 namespace detail {
 
-template <bool kFaults, typename Element>
-void pull_sample_impl(const gossip::NodeStore<Element>& store,
-                      const gossip::Network& net, std::size_t pulls,
-                      util::Rng& rng, std::vector<Element>& sink) {
+template <bool kFaults, typename Store, typename Sleep, typename Element>
+void pull_sample_impl(const Store& store, const Sleep& sleep,
+                      std::size_t pulls, util::Rng& rng,
+                      std::vector<Element>& sink) {
   // Software-pipelined in blocks: draw a block's targets and prefetch their
   // store headers, then draw each answer index and prefetch the element,
   // then copy the elements out — so the block's cache misses overlap
   // instead of serializing (the pass is miss-bound).  Draw order per block:
   // all targets, then per pull its loss decision and answer index.
   constexpr std::size_t kBlock = 32;
-  const std::size_t n = net.size();
-  [[maybe_unused]] const double p = net.faults().response_loss;
+  const std::size_t n = store.nodes();
+  [[maybe_unused]] const double p = sleep.response_loss();
   [[maybe_unused]] gossip::LossStream loss;
   gossip::NodeId targets[kBlock];
   const Element* answers[kBlock];
@@ -62,7 +62,7 @@ void pull_sample_impl(const gossip::NodeStore<Element>& store,
     for (std::size_t k = 0; k < b; ++k) {
       const gossip::NodeId target = targets[k];
       if constexpr (kFaults) {
-        if (net.asleep(target)) continue;            // sleepers never answer
+        if (sleep.asleep(target)) continue;          // sleepers never answer
         if (p > 0.0 && loss.drop(rng, p)) continue;  // response lost
       }
       const std::size_t sz = store.size(target);
@@ -83,22 +83,28 @@ void pull_sample_impl(const gossip::NodeStore<Element>& store,
 /// target's current multiset.  Replaces `sink` with the answers, in pull
 /// order, and returns their wire bytes for the caller to meter.
 ///
+/// `store` is a gossip::NodeStore (in-process stage A) or the round's
+/// gossip::StoreSnapshot (shard workers); `sleep` is the round's sleep and
+/// response-loss view — the gossip::Network, or that same snapshot.  Both
+/// pairs hold the same elements in the same order, so one stream state
+/// draws the same sample from either.
+///
 /// Every draw comes from `rng` — the puller's private stream — and `store`
-/// and `net` are only read, so concurrent calls for different nodes are
+/// and `sleep` are only read, so concurrent calls for different nodes are
 /// data-race-free while no store writes run (the engines' stage A).  Pull
 /// ops are not metered here: their count is fixed per node, so the engines
 /// meter them serially.  Response loss uses a geometric-gap LossStream local
 /// to the call (one draw per lost response); the fault-free path carries
 /// no fault branches.
-template <typename Element>
-std::uint64_t pull_sample(const gossip::NodeStore<Element>& store,
-                          const gossip::Network& net, std::size_t pulls,
-                          util::Rng& rng, std::vector<Element>& sink) {
+template <typename Store, typename Sleep, typename Element>
+std::uint64_t pull_sample(const Store& store, const Sleep& sleep,
+                          std::size_t pulls, util::Rng& rng,
+                          std::vector<Element>& sink) {
   sink.clear();
-  if (net.faults().response_loss > 0.0 || net.asleep_count() > 0) {
-    detail::pull_sample_impl<true>(store, net, pulls, rng, sink);
+  if (sleep.response_loss() > 0.0 || sleep.asleep_count() > 0) {
+    detail::pull_sample_impl<true>(store, sleep, pulls, rng, sink);
   } else {
-    detail::pull_sample_impl<false>(store, net, pulls, rng, sink);
+    detail::pull_sample_impl<false>(store, sleep, pulls, rng, sink);
   }
   using gossip::wire_size;
   std::uint64_t bytes = 0;

@@ -283,6 +283,12 @@ class Network {
   /// scanning all n asleep flags.
   std::size_t asleep_count() const noexcept { return sleeping_.size(); }
 
+  /// The nodes asleep this round (the sparse sleep set, in draw order).
+  std::span<const NodeId> sleeping() const noexcept { return sleeping_; }
+
+  /// This round's effective pull-response loss rate (faults().response_loss).
+  double response_loss() const noexcept { return effective_.response_loss; }
+
   /// Batched fault draw on the network's shared stream (see geometric_gap).
   std::uint64_t loss_gap(double p) noexcept { return geometric_gap(rng_, p); }
 
@@ -501,6 +507,69 @@ class NodeStore {
   std::vector<std::uint32_t> h0_;    // H_0 prefix length per node
   std::vector<NodeId> holders_;      // nodes with >= 1 copy (compact)
   std::size_t total_ = 0;            // sum of size_ (incremental)
+};
+
+/// Read-only CSR copy of a NodeStore plus the round's pull-side faults:
+/// everything one Section 2.1 pull can observe.  Shard workers receive one
+/// per round (shard/wire.hpp put_store_snapshot / get_store_snapshot) and
+/// run core::pull_sample against it for their own nodes.
+///
+/// The read API mirrors NodeStore (nodes/size/elem/view/prefetch) and the
+/// Network's sleep view (asleep/asleep_count/response_loss), so the one
+/// pull_sample body serves both.  Node v's elements keep their NodeStore
+/// order, so every draw selects the same element it would in-process.
+template <typename Element>
+class StoreSnapshot {
+ public:
+  std::size_t nodes() const noexcept { return offset_.size() - 1; }
+  std::size_t size(NodeId v) const noexcept {
+    return offset_[v + 1] - offset_[v];
+  }
+  const Element& elem(NodeId v, std::size_t i) const noexcept {
+    return elems_[offset_[v] + i];
+  }
+  std::span<const Element> view(NodeId v) const noexcept {
+    return {elems_.data() + offset_[v], size(v)};
+  }
+  void prefetch(NodeId v) const noexcept { __builtin_prefetch(&offset_[v]); }
+
+  bool asleep(NodeId v) const noexcept { return asleep_[v] != 0; }
+  std::size_t asleep_count() const noexcept { return sleeping_.size(); }
+  double response_loss() const noexcept { return response_loss_; }
+
+  /// Start a refill for a round over n nodes: no elements, nobody asleep.
+  /// Buffers keep their capacity, so steady-state rounds allocate nothing.
+  void reset(std::size_t n, double response_loss) {
+    offset_.assign(1, 0);
+    offset_.reserve(n + 1);
+    elems_.clear();
+    asleep_.assign(n, 0);
+    sleeping_.clear();
+    response_loss_ = response_loss;
+  }
+
+  /// Mark v asleep this round (each node at most once).
+  void set_asleep(NodeId v) {
+    asleep_[v] = 1;
+    sleeping_.push_back(v);
+  }
+
+  /// Append the next node (ids ascending from 0) with `count` elements and
+  /// return where the caller writes them (valid until the next append).
+  Element* append_node(std::size_t count) {
+    const std::size_t at = elems_.size();
+    elems_.resize(at + count);
+    offset_.push_back(static_cast<std::uint32_t>(at + count));
+    return elems_.data() + at;
+  }
+
+ private:
+  // Node v's elements are elems_[offset_[v], offset_[v + 1]).
+  std::vector<std::uint32_t> offset_ = {0};
+  std::vector<Element> elems_;
+  std::vector<std::uint8_t> asleep_;
+  std::vector<NodeId> sleeping_;
+  double response_loss_ = 0.0;
 };
 
 }  // namespace lpt::gossip

@@ -7,12 +7,14 @@
 // / EOF / partial-frame sequence a production death produces; nothing is
 // simulated above the transport it wraps.
 //
-// Events are keyed by per-shard frame counters: `at_frame` counts the task
+// Events are keyed by per-shard frame counters: `at_frame` counts the
 // frames sent to (ops on the send side) or the result frames received from
 // (ops on the recv side) that shard's lane since the run started, 0-based
 // and monotone across respawns — so "kill shard 2 after 5 frames" lands at
-// the same simulated-round boundary every run.  Each event fires exactly
-// once.
+// the same simulated-round boundary every run.  The send counter covers
+// task, bootstrap and shutdown frames but skips round-state frames, so a
+// script fires after the same task frame whether or not the engine ships
+// a round state.  Each event fires exactly once.
 //
 // Ops and the detection path they exercise:
 //

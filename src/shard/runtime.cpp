@@ -57,32 +57,6 @@ const char* down_cause_name(DownCause cause) {
   return "unknown";
 }
 
-// --- Endpoint: the strict legacy wrapper. ---------------------------------
-
-std::vector<std::uint8_t> Endpoint::recv() {
-  RecvResult r = recv_frame(-1);
-  if (r.ok()) return std::move(r.frame);
-  switch (r.cause) {
-    case DownCause::kEof:
-      // Clean EOF at a frame boundary: the peer is gone.  Returned as an
-      // empty frame; worker_loop treats it as shutdown (a coordinator that
-      // died mid-run must not leave children aborting), while a coordinator
-      // expecting a result trips the result-type check loudly.
-      return {};
-    case DownCause::kOversized:
-      LPT_CHECK_MSG(false,
-                    "shard frame length prefix exceeds kMaxFrameBytes");
-      break;
-    case DownCause::kTruncated:
-      LPT_CHECK_MSG(false, "shard stream truncated mid-frame");
-      break;
-    default:
-      LPT_CHECK_MSG(false, "shard stream failed");
-      break;
-  }
-  return {};
-}
-
 namespace detail {
 
 void FrameQueue::push(std::vector<std::uint8_t> frame) {
@@ -396,7 +370,7 @@ RecvResult SocketEndpoint::recv_frame(int timeout_ms) {
 ProcessTransport::~ProcessTransport() { teardown(); }
 
 void ProcessTransport::teardown() {
-  // Endpoints close first: a child blocked in recv() sees EOF and exits if
+  // Endpoints close first: a child blocked in recv_frame() sees EOF and exits if
   // the shutdown frame never made it.
   for (WorkerSlot& w : workers_) w.ep.reset();
   join();
@@ -626,6 +600,12 @@ class FaultyTransport::FaultyEndpoint final : public Endpoint {
       : owner_(owner), shard_(shard) {}
 
   bool send(std::span<const std::uint8_t> payload) override {
+    // Round-state frames are not counted: scripts keep firing after the
+    // same task frame whether or not the engine ships a round state.
+    if (!payload.empty() &&
+        payload[0] == static_cast<std::uint8_t>(MsgType::kRoundState)) {
+      return owner_->inner_->endpoint(shard_).send(payload);
+    }
     FaultEvent* ev = owner_->match(shard_, /*send_side=*/true, sends_);
     ++sends_;
     const bool ok = owner_->inner_->endpoint(shard_).send(payload);

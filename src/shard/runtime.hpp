@@ -5,17 +5,21 @@
 //
 // The engines (core/low_load.hpp, core/hitting_set.hpp) already execute one
 // simulated round as stage A (embarrassingly parallel per-node compute on
-// private RNG streams) followed by stage B (every shared-state side effect,
-// replayed serially in ascending node order).  The shard runtime moves
-// stage A into per-shard workers:
+// private RNG streams: each node's Section 2.1 pulls, then its local work)
+// followed by stage B (every shared-state side effect, replayed serially in
+// ascending node order).  The shard runtime moves stage A into per-shard
+// workers:
 //
 //   1. the coordinator owns the whole simulation state (network, store,
 //      channels) and remains the only writer of shared state;
-//   2. per round it ships each worker a stage-A task frame with the
-//      worker's shard of per-node inputs (shard/wire.hpp);
-//   3. each worker computes stage A for its contiguous node range and
-//      answers with its stage-B candidate list in ascending node order,
-//      plus payloads and advanced per-node RNG states;
+//   2. per round it ships each worker one *round state* frame — the
+//      engine's store snapshot, i.e. everything a pull can observe — and
+//      then stage-A task frames with the worker's shard of per-node inputs
+//      (flags and RNG states; shard/wire.hpp);
+//   3. each worker pulls its nodes' samples from the snapshot on their own
+//      streams, computes stage A for its contiguous node range and answers
+//      with its stage-B candidate list in ascending node order, plus
+//      payloads and advanced per-node RNG states;
 //   4. the coordinator applies results *in frame-index order semantics*:
 //      apply_result only fills frame-indexed slots, and stage B later walks
 //      frames in index order.  Frames are contiguous and ascending
@@ -28,35 +32,44 @@
 // therefore bit-identical to the serial and parallel_nodes paths for any
 // shard count and either transport; tests/test_shard.cpp pins this.
 //
+// ## Round schedule
+//
+// round() encodes the round state once and keeps a per-worker FIFO of
+// pending sub-frames with at most ONE task frame in flight per worker: a
+// worker blocked writing a large result can never deadlock against a
+// coordinator blocked writing its next frame (pipe buffers are small).
+// Each worker gets the round state right before its first task frame of
+// the round; the round state has no reply, so it never counts as in
+// flight.  Workers still compute concurrently — every idle worker is
+// topped up (round state, then task) before any receive happens, so the
+// first worker computes while the next one is still being shipped.
+//
 // ## Failure model (why recovery preserves bit-identity)
 //
 // A worker may die (or hang, or babble garbage) at any point.  The
 // coordinator survives it because of three standing facts:
 //
-//   * the coordinator's state is mutated only by apply_result — encoding a
-//     task frame reads coordinator state but never advances it, so the
-//     exact task bytes can be retained and re-shipped;
-//   * task frames carry *all* worker-visible dynamic state, including the
-//     per-node RNG snapshots (shard/wire.hpp round-trips util::RngState
-//     exactly), so a fresh replacement worker given the same bytes
-//     produces the same result bytes;
+//   * the coordinator's state is mutated only by apply_result — encoding
+//     the round state or a task frame reads coordinator state but never
+//     advances it, so the exact bytes can be retained (both for the whole
+//     round) and re-shipped;
+//   * the round state and the task frames together carry *all*
+//     worker-visible dynamic state, including the per-node RNG snapshots
+//     (shard/wire.hpp round-trips util::RngState exactly), so a fresh
+//     replacement worker given the same bytes produces the same result
+//     bytes;
 //   * results land in frame-indexed slots and are merged in frame-index
 //     order, so *when* a frame's result arrives — and *which* worker
 //     served it — cannot affect the merge.
 //
 // Hence: detect the death (shard/transport.hpp surfaces every stream
-// failure as data), requeue the lost frame's retained bytes, serve them on
-// a respawned replacement (RecoveryMode::kRespawn) or fold them into the
-// survivors (kReassign, via the ShardAssignment view in shard/plan.hpp) —
-// and the run's outputs are bit-identical to a fault-free run.
-//
-// ## Round-trip schedule
-//
-// round() keeps a per-worker FIFO of pending sub-frames with at most ONE
-// frame in flight per worker: a worker blocked writing a large result can
-// never deadlock against a coordinator blocked writing its next task (pipe
-// buffers are small).  Workers still compute concurrently — every idle
-// worker is topped up before any receive happens.
+// failure as data), requeue the lost frame's retained bytes, and serve
+// them on a respawned replacement (RecoveryMode::kRespawn: the bootstrap,
+// if any, then this round's retained round state, then the replayed
+// frames) or fold them into the survivors (kReassign, via the
+// ShardAssignment view in shard/plan.hpp — survivors already hold this
+// round's state) — and the run's outputs are bit-identical to a fault-free
+// run.
 #pragma once
 
 #include <algorithm>
@@ -182,19 +195,31 @@ struct ShardConfig {
 };
 
 /// Generic worker serve loop: block for frames, dispatch task frames to
-/// `serve(decoder, encoder)`, stop on the shutdown frame.  `serve` decodes
-/// one task payload (message type already consumed) and encodes the
-/// complete result payload including its leading message type.  A failed
-/// send means the coordinator is gone (or has given up on this worker):
-/// exit quietly — the coordinator's recovery owns the narrative.
+/// `serve(decoder, encoder)` and round-state frames to
+/// `serve.round_state(decoder)`, stop on the shutdown frame.  `serve`
+/// decodes one task payload (message type already consumed) and encodes
+/// the complete result payload including its leading message type; a
+/// round state gets no reply.  A failed recv or send means the coordinator
+/// is gone (or has given up on this worker): exit quietly — the
+/// coordinator's recovery owns the narrative.
 template <typename Serve>
 void worker_loop(Endpoint& ep, Serve&& serve) {
   for (;;) {
-    const std::vector<std::uint8_t> frame = ep.recv();
-    if (frame.empty()) return;  // peer gone (EOF): treat as shutdown
-    gossip::Decoder d(frame);
+    const RecvResult r = ep.recv_frame(-1);
+    if (!r.ok()) return;
+    gossip::Decoder d(r.frame);
     const MsgType type = get_msg_type(d);
     if (type == MsgType::kShutdown) return;
+    if (type == MsgType::kRoundState) {
+      if constexpr (requires { serve.round_state(d); }) {
+        serve.round_state(d);
+      } else {
+        LPT_CHECK_MSG(false, "shard worker: this serve takes no round state");
+      }
+      LPT_CHECK_MSG(d.exhausted(),
+                    "shard worker: trailing bytes in round state");
+      continue;
+    }
     LPT_CHECK_MSG(type == MsgType::kStageATask,
                   "shard worker: unexpected frame type");
     gossip::Encoder e;
@@ -213,9 +238,9 @@ void worker_loop(Endpoint& ep, Serve&& serve) {
 /// every fresh worker, so serve state is rebuilt entirely from the wire.
 template <typename MakeServe>
 void bootstrap_worker_loop(Endpoint& ep, MakeServe&& make_serve) {
-  const std::vector<std::uint8_t> frame = ep.recv();
-  if (frame.empty()) return;  // coordinator gone before the bootstrap
-  gossip::Decoder d(frame);
+  const RecvResult r = ep.recv_frame(-1);
+  if (!r.ok()) return;  // coordinator gone before the bootstrap
+  gossip::Decoder d(r.frame);
   LPT_CHECK_MSG(get_msg_type(d) == MsgType::kBootstrap,
                 "shard worker: expected a bootstrap frame first");
   auto serve = make_serve(d);
@@ -337,29 +362,41 @@ class ShardHarness {
   /// like any other; it is marked expected so teardown stays quiet.
   void kill_worker(std::size_t shard) { transport_->kill_worker(shard); }
 
-  /// One simulated round: encode_task(range, encoder) builds one task
-  /// payload (after the message type, which round() writes);
-  /// apply_result(frame, range, decoder) consumes one result payload.
+  /// One simulated round: encode_round_state(encoder) builds this round's
+  /// round-state payload (after the message type, which round() writes;
+  /// an empty payload sends none), encode_task(range, encoder) builds one
+  /// task payload, and apply_result(frame, range, decoder) consumes one
+  /// result payload.
   ///
   /// Each live worker serves its own shard's sub-frames as a FIFO (dead
   /// shards' FIFOs fold into survivors under kReassign) with at most one
-  /// frame in flight per worker — see "Round-trip schedule" above.
+  /// frame in flight per worker — see "Round schedule" above.
   /// apply_result runs once per sub-frame, in any order the schedule
   /// produces — it must only write frame-indexed slots, never shared
   /// streams (stage B does that later, walking frames in index order).
   ///
-  /// Task bytes are retained until the frame's result is applied, so a
-  /// worker death anywhere in the round replays the exact same bytes.
-  /// Throws ShardError when the recovery policy is exhausted (or is
-  /// kFailFast); the harness stays destructible.
-  template <typename EncodeTask, typename ApplyResult>
-  void round(EncodeTask&& encode_task, ApplyResult&& apply_result) {
+  /// The round state is retained for the whole round and each task's bytes
+  /// until its result is applied, so a worker death anywhere in the round
+  /// replays the exact same bytes.  Throws ShardError when the recovery
+  /// policy is exhausted (or is kFailFast); the harness stays destructible.
+  template <typename EncodeRoundState, typename EncodeTask,
+            typename ApplyResult>
+  void round(EncodeRoundState&& encode_round_state, EncodeTask&& encode_task,
+             ApplyResult&& apply_result) {
+    {
+      gossip::Encoder e;
+      put_msg_type(e, MsgType::kRoundState);
+      encode_round_state(e);
+      round_state_.clear();
+      if (e.size() > 1) round_state_ = e.bytes();
+    }
     const std::size_t k = plan_.shard_count();
     for (std::size_t s = 0; s < k; ++s) {
       Lane& L = lanes_[s];
       L.q.clear();
       L.head = 0;
       L.inflight = kNoFrame;
+      L.has_state = round_state_.empty();
       for (std::size_t f = frame_offset_[s]; f < frames_end(s); ++f) {
         L.q.push_back(f);
       }
@@ -376,6 +413,15 @@ class ShardHarness {
         Lane& L = lanes_[s];
         while (assignment_.live(s) && L.inflight == kNoFrame &&
                L.head < L.q.size()) {
+          if (!L.has_state) {
+            if (!transport_->endpoint(s).send(round_state_)) {
+              on_worker_down(s, DownCause::kEpipe);
+              continue;  // as for a failed task send below
+            }
+            obs::trace_instant("shard.round_state_send", s);
+            round_state_bytes_.add(round_state_.size());
+            L.has_state = true;
+          }
           const std::size_t f = L.q[L.head];
           if (task_bytes_[f].empty()) {
             gossip::Encoder e;
@@ -389,6 +435,7 @@ class ShardHarness {
                        // is no longer live and the while exits
           }
           obs::trace_instant("shard.frame_send", f);
+          task_bytes_sent_.add(task_bytes_[f].size());
           ++L.head;
           L.inflight = f;
         }
@@ -411,6 +458,7 @@ class ShardHarness {
             on_worker_down(s, DownCause::kCorrupt);
             continue;
           }
+          result_bytes_.add(r.frame.size());
           gossip::Decoder d(r.frame);
           (void)get_msg_type(d);
           apply_result(f, frames_[f], d);
@@ -472,11 +520,13 @@ class ShardHarness {
   }
 
   /// Coordinator-side schedule state for one worker: the FIFO of frame
-  /// indices it still owes this round, and its single in-flight frame.
+  /// indices it still owes this round, its single in-flight frame, and
+  /// whether its current worker holds this round's state.
   struct Lane {
     std::vector<std::size_t> q;
     std::size_t head = 0;
     std::size_t inflight = kNoFrame;
+    bool has_state = true;
   };
 
   std::size_t frames_end(std::size_t s) const noexcept {
@@ -552,6 +602,9 @@ class ShardHarness {
         obs::counter("shard.respawns").add(1);
         obs::trace_rare("shard.recovery_respawn", s);
         send_bootstrap(s);  // a replacement worker starts from the wire
+        // ...and needs this round's state before its replayed frames (the
+        // top-up loop sends it ahead of the lane's next task).
+        L.has_state = round_state_.empty();
         break;
       }
       case RecoveryMode::kReassign: {
@@ -598,6 +651,13 @@ class ShardHarness {
   // fork-inheriting harnesses.  Run-static, so one buffer serves every
   // spawn and respawn of every shard.
   std::vector<std::uint8_t> bootstrap_frame_;
+  // Framed kRoundState message of the current round (empty: none), sent to
+  // every worker incarnation before its first task frame of the round.
+  std::vector<std::uint8_t> round_state_;
+  // Frame payload bytes on the wire, resends included.
+  obs::Counter& task_bytes_sent_ = obs::counter("shard.task_bytes");
+  obs::Counter& result_bytes_ = obs::counter("shard.result_bytes");
+  obs::Counter& round_state_bytes_ = obs::counter("shard.round_state_bytes");
   std::unique_ptr<Transport> transport_;
 };
 

@@ -56,11 +56,11 @@
 //   * kill_worker() / respawn() let the coordinator put down a hung or
 //     corrupt worker and start a replacement running the same WorkerFn.
 //
-// The legacy blocking Endpoint::recv() keeps its loud LPT_CHECK semantics
-// (a caller that asked for no failure handling must not limp on); the
-// recovery-aware ShardHarness uses recv_frame and handles the rest.  The
-// transport records which workers the harness *expects* to be down
-// (expect_down), so teardown still aborts loudly on deaths nobody handled.
+// Both sides read with recv_frame: the recovery-aware ShardHarness handles
+// every outcome, and a worker loop simply exits on any non-frame result
+// (its coordinator is gone or gave up on it).  The transport records which
+// workers the harness *expects* to be down (expect_down), so teardown
+// still aborts loudly on deaths nobody handled.
 #pragma once
 
 #include <chrono>
@@ -123,17 +123,12 @@ struct WorkerExit {
 /// gone (EPIPE / closed lane) — any other I/O error still aborts loudly.
 /// recv_frame() blocks up to timeout_ms (-1: forever) for the next frame
 /// and reports malformed input (length prefix past kMaxFrameBytes, or a
-/// stream truncated mid-frame) as a structured down-cause.  recv() is the
-/// legacy strict wrapper: it blocks forever, maps clean EOF to an empty
-/// frame, and LPT_CHECK-aborts on malformed input — for callers with no
-/// recovery path, a corrupt stream must not keep simulating.
+/// stream truncated mid-frame) as a structured down-cause.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
   virtual bool send(std::span<const std::uint8_t> payload) = 0;
   virtual RecvResult recv_frame(int timeout_ms) = 0;
-
-  std::vector<std::uint8_t> recv();
 };
 
 /// A worker body: runs the per-shard serve loop until shutdown.  Invoked
@@ -333,7 +328,7 @@ class ProcessTransport : public Transport {
   virtual void start_worker(std::size_t shard) = 0;
 
   /// Close the coordinator-side streams, then join.  Closing first means a
-  /// child blocked in recv() sees EOF and exits even if the shutdown frame
+  /// child blocked in recv_frame() sees EOF and exits even if the shutdown frame
   /// never made it.  Idempotent — derived destructors call it so children
   /// are gone before derived members (e.g. a listening socket) die.
   void teardown();

@@ -1,17 +1,21 @@
 // Wire messages for the shard runtime, framed with the gossip codec.
 //
 // The coordinator/worker protocol is a strict request/response lockstep per
-// simulated round: the coordinator sends each worker one stage-A *task*
-// frame carrying the per-node inputs of the worker's shard (node flags, the
-// node's private RNG state, its pull responses, its local element multiset),
-// and the worker answers with one stage-A *result* frame carrying the
-// shard's ascending-node-order stage-B candidate list, sampler counters,
-// per-node violator/push payloads, solutions where stage B will need them,
-// and the advanced per-node RNG states (the coordinator's filter pass and
-// the next round's stage A continue those streams, so they must round-trip
+// simulated round.  The coordinator first sends each worker one *round
+// state* frame: this round's store snapshot — every node's multiset, the
+// sleeping nodes and the effective response-loss rate, all a Section 2.1
+// pull can observe — from which the worker draws its own nodes' pulls.  It
+// gets no reply.  Then the coordinator sends stage-A *task* frames carrying
+// the per-node inputs of the worker's shard (node flags and the node's
+// private RNG state), and the worker answers each with one stage-A
+// *result* frame carrying the shard's ascending-node-order stage-B
+// candidate list, sampler counters and pull-response bytes, per-node
+// violator/push payloads, solutions where stage B will need them, and the
+// advanced per-node RNG states (the coordinator's filter pass and the next
+// round's stage A continue those streams, so they must round-trip
 // exactly).  A shutdown frame ends the worker loop.  Workers that inherit
 // nothing via fork (the socket transport's, or any remotely launched
-// worker) are sent a *bootstrap* frame before their first task: the
+// worker) are sent a *bootstrap* frame before anything else: the
 // run-static problem description (problem elements, oracle solution,
 // sampler constants), re-sent to every respawned replacement.
 //
@@ -36,6 +40,7 @@
 
 #include "geometry/vec2.hpp"
 #include "gossip/codec.hpp"
+#include "gossip/network.hpp"
 #include "lp/halfplane.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -54,6 +59,10 @@ enum class MsgType : std::uint8_t {
                    // again after every respawn; the payload schema is the
                    // engine's (see e.g. core/low_load.hpp bootstrap codec),
                    // opaque to the runtime.
+  kRoundState = 5,  // per-round state every worker needs before its first
+                    // task of the round (the engines' store snapshot, see
+                    // put_store_snapshot); the payload schema is the
+                    // engine's.  No reply; re-sent after every respawn.
 };
 
 /// Upper bound on a frame payload; recv rejects longer length prefixes.
@@ -65,7 +74,7 @@ inline void put_msg_type(gossip::Encoder& e, MsgType t) {
 
 inline MsgType get_msg_type(gossip::Decoder& d) {
   const std::uint8_t t = d.get_u8();
-  LPT_CHECK_MSG(t >= 1 && t <= 4, "shard wire: unknown message type");
+  LPT_CHECK_MSG(t >= 1 && t <= 5, "shard wire: unknown message type");
   return static_cast<MsgType>(t);
 }
 
@@ -183,6 +192,55 @@ inline void get_rng(gossip::Decoder& d, util::Rng& rng) {
   util::RngState s;
   wire_get(d, s);
   rng.set_state(s);
+}
+
+// --- Store snapshot: the engines' round state. ---------------------------
+//
+// Schema: f64 response_loss · u32 n · u32 sleeper count · sleeper ids (u32)
+// · per node in id order: u32 size, then its elements (wire_put).  Node
+// sizes are bounded by the frame, not by the gossip model (see put_seq).
+
+template <Wirable Element>
+void put_store_snapshot(gossip::Encoder& e,
+                        const gossip::NodeStore<Element>& store,
+                        const gossip::Network& net) {
+  const std::size_t start = e.size();
+  e.put_f64(net.response_loss());
+  e.put_u32(static_cast<std::uint32_t>(store.nodes()));
+  e.put_u32(static_cast<std::uint32_t>(net.asleep_count()));
+  for (const gossip::NodeId v : net.sleeping()) e.put_u32(v);
+  for (gossip::NodeId v = 0; v < store.nodes(); ++v) {
+    e.put_u32(static_cast<std::uint32_t>(store.size(v)));
+    for (const Element& x : store.view(v)) wire_put(e, x);
+  }
+  LPT_CHECK_MSG(e.size() - start <= kMaxFrameBytes,
+                "shard wire: store snapshot exceeds the frame byte budget");
+}
+
+template <Wirable Element>
+void get_store_snapshot(gossip::Decoder& d,
+                        gossip::StoreSnapshot<Element>& snap) {
+  const double response_loss = d.get_f64();
+  const std::uint32_t n = d.get_u32();
+  // Every node carries at least its u32 size: reject a node count the
+  // remaining bytes cannot hold before reset() allocates for it.
+  LPT_CHECK_MSG(n <= d.remaining() / sizeof(std::uint32_t),
+                "shard wire: snapshot node count too large");
+  snap.reset(n, response_loss);
+  const std::uint32_t sleepers = d.get_u32();
+  LPT_CHECK_MSG(sleepers <= n, "shard wire: more sleepers than nodes");
+  for (std::uint32_t i = 0; i < sleepers; ++i) {
+    const std::uint32_t v = d.get_u32();
+    LPT_CHECK_MSG(v < n, "shard wire: sleeper id out of range");
+    snap.set_asleep(v);
+  }
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t size = d.get_u32();
+    LPT_CHECK_MSG(size <= d.remaining() / kWireElemBytes<Element>,
+                  "shard wire: sequence too long");
+    Element* out = snap.append_node(size);
+    for (std::uint32_t i = 0; i < size; ++i) wire_get(d, out[i]);
+  }
 }
 
 // --- Per-node stage-A framing shared by the engines. ---------------------

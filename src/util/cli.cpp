@@ -6,21 +6,16 @@
 
 namespace lpt::util {
 
-namespace {
-
 // A numeric flag that fails to parse must be a loud error, not a silent
 // truncation: strtoll("12x") is 12 and strtoll("abc") is 0, so a typo like
 // --imax=12x or --reps=abc would quietly run the wrong experiment (and the
 // service front end feeds request sizes through this same parser).
-[[noreturn]] void invalid_flag_value(const std::string& name,
-                                     const std::string& value,
-                                     const char* expected) {
+void invalid_flag_value(const std::string& name, const std::string& value,
+                        const std::string& expected) {
   std::fprintf(stderr, "error: --%s expects %s, got \"%s\"\n", name.c_str(),
-               expected, value.c_str());
+               expected.c_str(), value.c_str());
   std::exit(2);
 }
-
-}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   program_ = argc > 0 ? argv[0] : "";

@@ -9,6 +9,13 @@
 
 namespace lpt::util {
 
+/// Report a flag value the program cannot honour and exit 2:
+/// `error: --name expects <expected>, got "value"`.  A bad flag must stop
+/// the run, not quietly measure something else.
+[[noreturn]] void invalid_flag_value(const std::string& name,
+                                     const std::string& value,
+                                     const std::string& expected);
+
 class Cli {
  public:
   Cli(int argc, char** argv);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "common.hpp"
 #include "core/high_load.hpp"
@@ -12,6 +13,7 @@
 #include "core/low_load.hpp"
 #include "problems/min_disk.hpp"
 #include "support/test_support.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workloads/disk_data.hpp"
 #include "workloads/hs_data.hpp"
@@ -434,6 +436,49 @@ TEST(ParallelNodes, TerminationProtocolStaysCorrect) {
   const auto res = core::run_low_load(p, pts, n, cfg);
   ASSERT_TRUE(res.stats.reached_optimum);
   EXPECT_TRUE(res.stats.all_outputs_correct);
+}
+
+// The shared bench flags exit 2 on a value they cannot honour instead of
+// warning and measuring something else (unsharded, in-process, duo-disk).
+util::Cli make_cli(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return util::Cli(static_cast<int>(args.size()),
+                   const_cast<char**>(args.data()));
+}
+
+TEST(BenchFlagsDeathTest, NegativeShardCountExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const util::Cli cli = make_cli({"--shards=-2"});
+  EXPECT_EXIT((void)bench::shard_flags(cli), ::testing::ExitedWithCode(2),
+              "--shards expects a non-negative shard count, got \"-2\"");
+}
+
+TEST(BenchFlagsDeathTest, UnknownShardTransportExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const util::Cli cli = make_cli({"--shard-transport=carrier-pigeon"});
+  EXPECT_EXIT((void)bench::shard_flags(cli), ::testing::ExitedWithCode(2),
+              "--shard-transport expects inproc, pipe or socket, got "
+              "\"carrier-pigeon\"");
+}
+
+TEST(BenchFlagsDeathTest, UnknownDatasetExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const util::Cli cli = make_cli({"--dataset=quad-disk"});
+  EXPECT_EXIT((void)bench::dataset_flag(cli), ::testing::ExitedWithCode(2),
+              "--dataset expects one of duo-disk, .*, got \"quad-disk\"");
+}
+
+TEST(BenchFlags, ValidValuesParse) {
+  const util::Cli cli = make_cli(
+      {"--shards=4", "--shard-transport=socket", "--dataset=hull"});
+  const shard::ShardConfig cfg = bench::shard_flags(cli);
+  EXPECT_EQ(cfg.shards, 4u);
+  EXPECT_EQ(cfg.transport, shard::TransportKind::kSocket);
+  EXPECT_EQ(bench::dataset_flag(cli), DiskDataset::kHull);
+  const util::Cli none = make_cli({});
+  EXPECT_EQ(bench::shard_flags(none).shards, 0u);
+  EXPECT_EQ(bench::shard_flags(none).transport, shard::TransportKind::kInProc);
+  EXPECT_EQ(bench::dataset_flag(none), DiskDataset::kDuoDisk);
 }
 
 }  // namespace

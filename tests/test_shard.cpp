@@ -1,6 +1,6 @@
 // Shard runtime tests: partition plan, wire-message codec round-trips
-// (including empty candidate lists and max-size frames), malformed-frame
-// rejection, transport framing, and the headline guarantee — sharded
+// (including empty candidate lists and max-size frames), transport
+// framing, and the headline guarantee — sharded
 // low-load / hitting-set runs are bit-identical to the serial and
 // parallel_nodes paths for shards in {1, 2, 4}, over all three transports
 // (in-process queues, pipes, loopback TCP sockets — the socket runs
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -179,6 +180,214 @@ TEST(ShardWire, MinDiskSolutionRoundTripsBitIdentically) {
   EXPECT_TRUE(empty2.disk.empty());
 }
 
+// ---------------------------------------------------------------------
+// Round state: the store snapshot workers pull from, and task frames that
+// carry nothing but flags and RNG states.
+// ---------------------------------------------------------------------
+
+// A store with empty nodes, a sleep set and response loss: every branch a
+// pull can take.
+struct PullWorld {
+  static constexpr std::size_t kNodes = 64;
+  gossip::Network net{kNodes, util::Rng(3), [] {
+                        gossip::FaultModel f;
+                        f.sleep_probability = 0.2;
+                        f.response_loss = 0.1;
+                        return f;
+                      }()};
+  gossip::NodeStore<geom::Vec2> store{kNodes};
+  std::vector<geom::Vec2> pts =
+      testsupport::golden_disk_points(DiskDataset::kHull, 96);
+  std::vector<util::Rng> node_rng;
+
+  PullWorld() {
+    net.begin_round();
+    util::Rng place(4);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const auto v = static_cast<gossip::NodeId>(place.below(kNodes));
+      if (i % 3 == 0) {
+        store.add_copy(v, pts[i]);
+      } else {
+        store.add_original(v, pts[i]);
+      }
+    }
+    for (std::size_t v = 0; v < kNodes; ++v) node_rng.emplace_back(100 + v);
+  }
+
+  gossip::StoreSnapshot<geom::Vec2> snapshot() const {
+    gossip::Encoder e;
+    shard::put_store_snapshot(e, store, net);
+    gossip::Decoder d(e.bytes());
+    gossip::StoreSnapshot<geom::Vec2> snap;
+    shard::get_store_snapshot(d, snap);
+    EXPECT_TRUE(d.exhausted());
+    return snap;
+  }
+};
+
+TEST(ShardWire, StoreSnapshotRoundTripsAndPullsLikeTheStore) {
+  const PullWorld w;
+  ASSERT_GT(w.net.asleep_count(), 0u);
+  const auto snap = w.snapshot();
+  ASSERT_EQ(snap.nodes(), PullWorld::kNodes);
+  EXPECT_EQ(snap.asleep_count(), w.net.asleep_count());
+  EXPECT_EQ(snap.response_loss(), w.net.response_loss());
+  std::size_t empty = 0;
+  for (gossip::NodeId v = 0; v < PullWorld::kNodes; ++v) {
+    EXPECT_EQ(snap.asleep(v), w.net.asleep(v)) << v;
+    ASSERT_EQ(snap.size(v), w.store.size(v)) << v;
+    empty += snap.size(v) == 0;
+    for (std::size_t i = 0; i < snap.size(v); ++i) {
+      EXPECT_EQ(snap.elem(v, i), w.store.elem(v, i)) << v << "/" << i;
+    }
+  }
+  EXPECT_GT(empty, 0u);
+  // The same stream state draws the same pulls from either view.
+  for (gossip::NodeId v = 0; v < 8; ++v) {
+    util::Rng a = w.node_rng[v];
+    util::Rng b = w.node_rng[v];
+    std::vector<geom::Vec2> from_store;
+    std::vector<geom::Vec2> from_snap;
+    const auto bytes_store = core::pull_sample(w.store, w.net, 141, a,
+                                               from_store);
+    const auto bytes_snap = core::pull_sample(snap, snap, 141, b, from_snap);
+    EXPECT_EQ(from_store, from_snap) << v;
+    EXPECT_EQ(bytes_store, bytes_snap) << v;
+    EXPECT_EQ(a.state(), b.state()) << v;
+  }
+}
+
+TEST(ShardWire, LowLoadTaskCarriesOnlyFlagsAndRngState) {
+  const PullWorld w;
+  MinDisk p;
+  const auto active = [&](gossip::NodeId v) {
+    return !w.net.asleep(v) && v % 5 != 0;
+  };
+  const shard::ShardRange r{8, 40};
+  gossip::Encoder task;
+  core::detail::put_low_load_task(task, r, /*found_snapshot=*/false, active,
+                                  std::span<const util::Rng>(w.node_rng));
+
+  // Decode by the schema: header, then per node one flag byte and, for an
+  // active node, exactly its RNG state — no sample, no store view.
+  gossip::Decoder d(task.bytes());
+  EXPECT_EQ(d.get_u8(), 0);
+  EXPECT_EQ(d.get_u32(), r.begin);
+  EXPECT_EQ(d.get_u32(), r.end);
+  std::size_t n_active = 0;
+  for (gossip::NodeId v = r.begin; v < r.end; ++v) {
+    const std::uint8_t flags = d.get_u8();
+    ASSERT_EQ(flags, active(v) ? shard::nodeflag::kActive : 0) << v;
+    if (flags == 0) continue;
+    util::RngState st;
+    shard::wire_get(d, st);
+    EXPECT_EQ(st, w.node_rng[v].state()) << v;
+    ++n_active;
+  }
+  EXPECT_TRUE(d.exhausted());
+  ASSERT_GT(n_active, 0u);
+  EXPECT_EQ(task.size(),
+            9 + r.size() + n_active * shard::kWireElemBytes<util::RngState>);
+
+  // A worker holding the round state answers this task exactly like the
+  // in-process stage A: same flags, streams, violators, solutions, bytes.
+  core::SamplerConfig sampler;
+  sampler.target = 6 * 2 * 2;
+  sampler.log_n = 7;
+  core::detail::LowLoadServe<MinDisk> serve{p, p.solve(w.pts), sampler,
+                                            /*run_termination=*/false};
+  gossip::Encoder state;
+  shard::put_store_snapshot(state, w.store, w.net);
+  gossip::Decoder sd(state.bytes());
+  serve.round_state(sd);
+  gossip::Decoder td(task.bytes());
+  gossip::Encoder result;
+  serve(td, result);
+  EXPECT_TRUE(td.exhausted());
+
+  gossip::Decoder rd(result.bytes());
+  EXPECT_EQ(shard::get_msg_type(rd), shard::MsgType::kStageAResult);
+  std::uint64_t bytes = 0;
+  std::uint32_t failures = 0;
+  for (gossip::NodeId v = r.begin; v < r.end; ++v) {
+    const std::uint8_t flags = rd.get_u8();
+    if (!active(v)) {
+      EXPECT_EQ(flags, 0) << v;
+      continue;
+    }
+    util::Rng rng = w.node_rng[v];
+    std::vector<geom::Vec2> pulled;
+    std::vector<geom::Vec2> violators;
+    MinDisk::Solution sol;
+    const bool ok = core::detail::low_load_node_stage_a(
+        p, sampler, w.store, w.net, v, rng, pulled, sol, violators, bytes);
+    failures += !ok;
+    EXPECT_EQ((flags & shard::nodeflag::kReplay) != 0,
+              ok && !violators.empty())
+        << v;
+    util::RngState st;
+    shard::wire_get(rd, st);
+    EXPECT_EQ(st, rng.state()) << v;
+    if (flags & shard::nodeflag::kReplay) {
+      std::vector<geom::Vec2> got;
+      shard::get_seq(rd, got);
+      EXPECT_EQ(got, violators) << v;
+    }
+    if (flags & shard::nodeflag::kSolution) {
+      MinDisk::Solution got;
+      wire_get(rd, got);
+      EXPECT_EQ(got, sol) << v;
+    }
+  }
+  EXPECT_EQ(rd.get_u32(), n_active);  // attempts
+  EXPECT_EQ(rd.get_u32(), failures);
+  (void)rd.get_u32();                 // first_opt
+  EXPECT_EQ(rd.get_u64(), bytes);
+  EXPECT_TRUE(rd.exhausted());
+}
+
+TEST(ShardWire, HittingSetTaskCarriesOnlyFlagsAndRngState) {
+  const PullWorld w;
+  const shard::ShardRange r{0, 64};
+  gossip::Encoder task;
+  core::detail::put_hitting_set_task(task, r, /*r=*/12, /*push_cap=*/30,
+                                     w.net,
+                                     std::span<const util::Rng>(w.node_rng));
+  gossip::Decoder d(task.bytes());
+  EXPECT_EQ(d.get_u32(), 12u);
+  EXPECT_EQ(d.get_u64(), 30u);
+  EXPECT_EQ(d.get_u32(), r.begin);
+  EXPECT_EQ(d.get_u32(), r.end);
+  std::size_t n_active = 0;
+  for (gossip::NodeId v = r.begin; v < r.end; ++v) {
+    const std::uint8_t flags = d.get_u8();
+    ASSERT_EQ(flags, w.net.asleep(v) ? 0 : shard::nodeflag::kActive) << v;
+    if (flags == 0) continue;
+    util::RngState st;
+    shard::wire_get(d, st);
+    EXPECT_EQ(st, w.node_rng[v].state()) << v;
+    ++n_active;
+  }
+  EXPECT_TRUE(d.exhausted());
+  EXPECT_EQ(n_active, PullWorld::kNodes - w.net.asleep_count());
+  EXPECT_EQ(task.size(),
+            20 + r.size() + n_active * shard::kWireElemBytes<util::RngState>);
+}
+
+TEST(ShardWireDeathTest, StoreSnapshotRejectsOutOfRangeSleeper) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  gossip::Encoder e;
+  e.put_f64(0.0);
+  e.put_u32(2);  // two nodes
+  e.put_u32(1);  // one sleeper...
+  e.put_u32(2);  // ...with id 2
+  e.put_u32(0);
+  e.put_u32(0);
+  gossip::Decoder d(e.bytes());
+  gossip::StoreSnapshot<geom::Vec2> snap;
+  EXPECT_DEATH(shard::get_store_snapshot(d, snap), "sleeper id out of range");
+}
+
 // The engines' Wirable gate: the shipped problems the shard runtime serves.
 static_assert(shard::Wirable<std::uint32_t>);
 static_assert(shard::Wirable<geom::Vec2>);
@@ -188,8 +397,9 @@ static_assert(shard::Wirable<problems::MinDiskSolution>);
 static_assert(core::detail::ShardableLowLoad<problems::MinDisk>);
 
 // ---------------------------------------------------------------------
-// Transport framing: echo through both transports, max-size frames,
-// malformed-frame rejection.
+// Transport framing: echo through every transport, max-size frames, and
+// how a worker treats a malformed or closed input stream (the structured
+// recv_frame results themselves: ShardRecvFrame in test_shard_recovery.cpp).
 // ---------------------------------------------------------------------
 
 // Serve handler that echoes the task payload back as the result payload.
@@ -213,10 +423,12 @@ std::vector<std::uint8_t> round_trip_payload(shard::Transport& transport,
     transport.endpoint(s).send(task.bytes());
   }
   for (std::size_t s = 0; s < shards; ++s) {
-    const auto frame = transport.endpoint(s).recv();
-    gossip::Decoder d(frame);
+    const shard::RecvResult r = transport.endpoint(s).recv_frame(-1);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) continue;
+    gossip::Decoder d(r.frame);
     EXPECT_EQ(shard::get_msg_type(d), shard::MsgType::kStageAResult);
-    echoed.assign(frame.begin() + 1, frame.end());
+    echoed.assign(r.frame.begin() + 1, r.frame.end());
   }
   gossip::Encoder bye;
   shard::put_msg_type(bye, shard::MsgType::kShutdown);
@@ -271,6 +483,15 @@ TEST(ShardTransport, SocketCarriesMultiMegabyteFrames) {
   EXPECT_EQ(round_trip_payload(t, 1, body), body);
 }
 
+// Serve handler that counts how often it runs and answers nothing.
+struct CountingServe {
+  int* served;
+  void operator()(gossip::Decoder&, gossip::Encoder&) const { ++*served; }
+};
+
+// A worker whose input carries a length prefix above kMaxFrameBytes
+// rejects the frame without serving it and its process exits cleanly: the
+// coordinator sees the lane go down and recovers, nobody aborts.
 TEST(ShardTransportDeathTest, RejectsOversizedLengthPrefix) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   int fds[2];
@@ -278,10 +499,20 @@ TEST(ShardTransportDeathTest, RejectsOversizedLengthPrefix) {
   const std::uint32_t huge = shard::kMaxFrameBytes + 1;
   ASSERT_EQ(::write(fds[1], &huge, sizeof huge),
             static_cast<ssize_t>(sizeof huge));
-  shard::PipeEndpoint ep(fds[0], fds[1]);
-  EXPECT_DEATH((void)ep.recv(), "length prefix exceeds");
+  EXPECT_EXIT(
+      {
+        shard::PipeEndpoint ep(fds[0], fds[1]);
+        int served = 0;
+        shard::worker_loop(ep, CountingServe{&served});
+        std::exit(served == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
+// EOF in the middle of a frame: the partial frame is rejected, never
+// served, and the worker exits cleanly.
 TEST(ShardTransportDeathTest, RejectsTruncatedFrame) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   int fds[2];
@@ -293,16 +524,27 @@ TEST(ShardTransportDeathTest, RejectsTruncatedFrame) {
   ASSERT_EQ(::write(fds[1], partial, sizeof partial),
             static_cast<ssize_t>(sizeof partial));
   ::close(fds[1]);  // EOF arrives mid-frame
-  shard::PipeEndpoint ep(fds[0], -1);
-  EXPECT_DEATH((void)ep.recv(), "truncated mid-frame");
+  EXPECT_EXIT(
+      {
+        shard::PipeEndpoint ep(fds[0], -1);
+        int served = 0;
+        shard::worker_loop(ep, CountingServe{&served});
+        std::exit(served == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::close(fds[0]);
 }
 
+// EOF at a frame boundary reads like a shutdown frame: the worker loop
+// returns without serving anything.
 TEST(ShardTransport, CleanEofReadsAsEmptyFrame) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ::close(fds[1]);
   shard::PipeEndpoint ep(fds[0], -1);
-  EXPECT_TRUE(ep.recv().empty());  // worker_loop treats this as shutdown
+  int served = 0;
+  shard::worker_loop(ep, CountingServe{&served});
+  EXPECT_EQ(served, 0);
 }
 
 TEST(ShardWireDeathTest, RejectsUnknownMessageType) {
@@ -474,6 +716,66 @@ TEST(ShardedHittingSet, BitIdenticalUnderLossAndSleepFaults) {
   cfg.faults.response_loss = 0.1;
   cfg.faults.sleep_probability = 0.1;
   check_hitting_set_bit_identity(cfg, 23, 128, 32);
+}
+
+// In-process-only sharded bit-identity under every pull-side fault: i.i.d.
+// sleep, stragglers and Markov-burst response loss, so the sleeping list
+// and the per-round loss rate travel in the round state.  In-process
+// transports only (no fork), so the ThreadSanitizer CI job runs it.
+core::LowLoadConfig inproc_fault_low_load() {
+  core::LowLoadConfig cfg;
+  cfg.seed = 91;
+  cfg.faults.push_loss = 0.1;
+  cfg.faults.response_loss = 0.15;
+  cfg.faults.sleep_probability = 0.1;
+  cfg.faults.burst = {0.3, 0.6, 0.3, 0.4};
+  cfg.faults.straggler.rate = 0.02;
+  cfg.min_rounds = 12;  // enough rounds for burst epochs and straggles
+  return cfg;
+}
+
+TEST(ShardedInProc, LowLoadBitIdenticalUnderLossAndSleep) {
+  MinDisk p;
+  const std::size_t n = 256;
+  const auto pts = testsupport::golden_disk_points(DiskDataset::kTriangle, n);
+  const core::LowLoadConfig base = inproc_fault_low_load();
+  const auto serial = core::run_low_load(p, pts, n, base);
+  for (const std::size_t shards : {2u, 4u}) {
+    core::LowLoadConfig cfg = base;
+    cfg.shard.shards = shards;
+    cfg.shard.max_frame_nodes = 48;
+    const auto res = core::run_low_load(p, pts, n, cfg);
+    const std::string what =
+        config_name(shards, shard::TransportKind::kInProc);
+    EXPECT_EQ(serial.solution, res.solution) << what;
+    expect_stats_equal(serial.stats, res.stats, what);
+  }
+}
+
+TEST(ShardedInProc, HittingSetBitIdenticalUnderLossAndSleep) {
+  util::Rng data_rng(31);
+  const auto inst =
+      workloads::generate_planted_hitting_set(256, 96, 4, 2, data_rng);
+  problems::HittingSetProblem p(inst.system);
+  core::HittingSetConfig base;
+  base.seed = 92;
+  base.hitting_set_size = 4;
+  base.sample_size = 8;  // small samples: several rounds
+  base.faults = inproc_fault_low_load().faults;
+  const auto serial = core::run_hitting_set(p, 256, base);
+  ASSERT_TRUE(serial.valid);
+  ASSERT_GE(serial.stats.rounds_to_first, 3u);
+  for (const std::size_t shards : {2u, 4u}) {
+    core::HittingSetConfig cfg = base;
+    cfg.shard.shards = shards;
+    cfg.shard.max_frame_nodes = 32;
+    const auto res = core::run_hitting_set(p, 256, cfg);
+    const std::string what =
+        config_name(shards, shard::TransportKind::kInProc);
+    EXPECT_EQ(serial.hitting_set, res.hitting_set) << what;
+    EXPECT_EQ(serial.d_used, res.d_used) << what;
+    expect_stats_equal(serial.stats, res.stats, what);
+  }
 }
 
 TEST(ShardedHittingSet, DoublingSearchBitIdentical) {

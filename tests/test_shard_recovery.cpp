@@ -11,6 +11,8 @@
 
 #include <csignal>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/hitting_set.hpp"
 #include "core/low_load.hpp"
 #include "core/result.hpp"
+#include "obs/obs.hpp"
 #include "problems/min_disk.hpp"
 #include "service/service.hpp"
 #include "shard/fault.hpp"
@@ -287,6 +290,7 @@ void run_harness_rounds_with_kill(TransportKind kind) {
     if (round == 1) h.kill_worker(2);  // real SIGKILL between rounds
     std::vector<std::uint32_t> out(n, 0);
     h.round(
+        [](gossip::Encoder&) {},  // no round state: triple_serve needs none
         [](const shard::ShardRange r, gossip::Encoder& e) {
           e.put_u32(r.begin);
           e.put_u32(r.end);
@@ -373,6 +377,149 @@ std::string transport_name(TransportKind t) {
 const TransportKind kTransports[] = {TransportKind::kInProc,
                                      TransportKind::kPipe,
                                      TransportKind::kSocket};
+
+// ---------------------------------------------------------------------
+// Round state under failures: a serve whose answers depend on its
+// bootstrap (a multiplier) and on the round state (a per-round salt), so a
+// worker missing either — or holding last round's salt — answers wrong.
+// ---------------------------------------------------------------------
+
+struct SaltedServe {
+  std::uint32_t mult = 0;
+  std::uint32_t salt = 0;
+
+  void round_state(gossip::Decoder& d) { salt = d.get_u32(); }
+
+  void operator()(gossip::Decoder& d, gossip::Encoder& e) const {
+    const std::uint32_t begin = d.get_u32();
+    const std::uint32_t end = d.get_u32();
+    shard::put_msg_type(e, shard::MsgType::kStageAResult);
+    for (std::uint32_t v = begin; v < end; ++v) e.put_u32(v * mult + salt);
+  }
+};
+
+constexpr std::uint32_t kSaltMult = 3;
+constexpr std::size_t kSaltNodes = 64;
+
+std::vector<std::uint8_t> salted_bootstrap() {
+  gossip::Encoder e;
+  e.put_u32(kSaltMult);
+  return e.bytes();
+}
+
+SaltedServe salted_factory(gossip::Decoder& d) {
+  return SaltedServe{d.get_u32()};
+}
+
+/// Four shards, two sub-frames each per round, bootstrapped over the wire.
+shard::ShardConfig salted_config(TransportKind kind) {
+  shard::ShardConfig cfg;
+  cfg.shards = 4;
+  cfg.transport = kind;
+  cfg.max_frame_nodes = 8;
+  return cfg;
+}
+
+/// Run `rounds` rounds, calling before_task(round, frame_begin) while each
+/// task is encoded (after its lane's round state went out), and check
+/// every answer.
+void run_salted_rounds(
+    shard::ShardHarness& h, int rounds,
+    const std::function<void(int, gossip::NodeId)>& before_task = {}) {
+  for (int round = 0; round < rounds; ++round) {
+    const auto salt = static_cast<std::uint32_t>(1000 * (round + 1));
+    std::vector<std::uint32_t> out(kSaltNodes, 0);
+    h.round([&](gossip::Encoder& e) { e.put_u32(salt); },
+            [&](const shard::ShardRange r, gossip::Encoder& e) {
+              if (before_task) before_task(round, r.begin);
+              e.put_u32(r.begin);
+              e.put_u32(r.end);
+            },
+            [&](std::size_t, const shard::ShardRange r, gossip::Decoder& d) {
+              for (std::uint32_t v = r.begin; v < r.end; ++v) {
+                out[v] = d.get_u32();
+              }
+            });
+    for (std::uint32_t v = 0; v < kSaltNodes; ++v) {
+      ASSERT_EQ(out[v], v * kSaltMult + salt)
+          << "round " << round << " node " << v;
+    }
+  }
+}
+
+TEST(ShardRoundState, KillBetweenRoundStateAndTaskRecovers) {
+  // Shard 2's first frame is [32, 40): in round 1 its worker is killed
+  // after it received the round state and before its task goes out.  The
+  // replacement must get the bootstrap and the round state again.
+  for (const auto transport : kTransports) {
+    shard::ShardHarness h(kSaltNodes, salted_config(transport),
+                          salted_bootstrap(), salted_factory);
+    run_salted_rounds(h, 3, [&](int round, gossip::NodeId begin) {
+      if (round == 1 && begin == 32) h.kill_worker(2);
+    });
+    EXPECT_EQ(h.recovery_stats().workers_lost, 1u) << transport_name(transport);
+    EXPECT_EQ(h.recovery_stats().respawns, 1u) << transport_name(transport);
+    EXPECT_EQ(h.recovery_stats().last_down_shard, 2u);
+  }
+}
+
+TEST(ShardRoundState, RespawnMidRoundGetsBootstrapAndRoundState) {
+  // Lane 1's sends: #0 bootstrap, #1-#2 round 0's tasks, #3 round 1's first
+  // task (round states are not counted).  The kill after #3 loses a frame
+  // mid-round; its replay runs on a fresh worker.
+  for (const auto transport : kTransports) {
+    shard::ShardConfig cfg = salted_config(transport);
+    cfg.fault_script = {{1, FaultOp::kKillWorker, 3}};
+    shard::ShardHarness h(kSaltNodes, cfg, salted_bootstrap(),
+                          salted_factory);
+    run_salted_rounds(h, 3);
+    EXPECT_EQ(h.recovery_stats().workers_lost, 1u) << transport_name(transport);
+    EXPECT_EQ(h.recovery_stats().respawns, 1u) << transport_name(transport);
+  }
+}
+
+TEST(ShardRoundState, ReassignSurvivorsKeepTheirRoundState) {
+  for (const auto transport : kTransports) {
+    shard::ShardConfig cfg = salted_config(transport);
+    cfg.recovery.mode = RecoveryMode::kReassign;
+    cfg.fault_script = {{1, FaultOp::kKillWorker, 3}};
+    shard::ShardHarness h(kSaltNodes, cfg, salted_bootstrap(),
+                          salted_factory);
+    run_salted_rounds(h, 2);  // the death and its reassignment
+    EXPECT_EQ(h.recovery_stats().workers_lost, 1u) << transport_name(transport);
+    EXPECT_GE(h.recovery_stats().frames_reassigned, 1u);
+    // A later round ships the round state once to each of the three
+    // survivors (type byte + u32 salt), although they serve four lanes.
+    const obs::Snapshot before = obs::snapshot();
+    run_salted_rounds(h, 1);
+    EXPECT_EQ(obs::snapshot().delta(before).counter_value(
+                  "shard.round_state_bytes"),
+              3u * 5u)
+        << transport_name(transport);
+  }
+}
+
+TEST(ShardRoundState, FaultScriptsSkipRoundStateFrames) {
+  // at_frame 0 means "after the first task frame": a round state sent
+  // first must neither fire the kill nor shift it.
+  auto inner = std::make_unique<shard::InProcTransport>();
+  shard::FaultyTransport t(std::move(inner), {{0, FaultOp::kKillWorker, 0}});
+  t.spawn(1, [](std::size_t, shard::Endpoint& ep) {
+    shard::worker_loop(ep, SaltedServe{kSaltMult});
+  });
+  gossip::Encoder state;
+  shard::put_msg_type(state, shard::MsgType::kRoundState);
+  state.put_u32(7);
+  ASSERT_TRUE(t.endpoint(0).send(state.bytes()));
+  EXPECT_EQ(t.exit_status(0).kind, WorkerExit::Kind::kRunning);
+  gossip::Encoder task;
+  shard::put_msg_type(task, shard::MsgType::kStageATask);
+  task.put_u32(0);
+  task.put_u32(1);
+  (void)t.endpoint(0).send(task.bytes());
+  EXPECT_EQ(t.exit_status(0).kind, WorkerExit::Kind::kSignaled);
+  t.join();
+}
 
 /// Run low-load with the given faults and compare bit-for-bit against the
 /// fault-free serial run (same seed, same dataset).
@@ -517,6 +664,76 @@ TEST(ShardedHittingSetRecovery, KillMidRunBitIdentical) {
     EXPECT_EQ(serial.d_used, res.d_used) << what;
     EXPECT_EQ(serial.sample_size, res.sample_size) << what;
     expect_stats_equal(serial.stats, res.stats, what);
+  }
+}
+
+// Sleep, stragglers and bursty response loss make the round state carry a
+// sleeping list and a per-round loss rate; a kill mid-run makes a fresh
+// worker rebuild both from the wire.
+gossip::FaultModel pull_side_faults() {
+  gossip::FaultModel f;
+  f.push_loss = 0.1;
+  f.response_loss = 0.15;
+  f.sleep_probability = 0.1;
+  f.burst = {0.3, 0.6, 0.3, 0.4};
+  f.straggler.rate = 0.02;
+  return f;
+}
+
+TEST(ShardedLowLoadRecovery, KillUnderLossAndSleepBitIdentical) {
+  MinDisk p;
+  const std::size_t n = 256;
+  const auto pts = testsupport::golden_disk_points(DiskDataset::kTriangle, n);
+  core::LowLoadConfig base;
+  base.seed = 93;
+  base.faults = pull_side_faults();
+  base.min_rounds = 8;
+  const auto serial = core::run_low_load(p, pts, n, base);
+  for (const auto transport : kTransports) {
+    for (const std::size_t shards : {2u, 4u}) {
+      core::LowLoadConfig cfg = base;
+      cfg.shard.shards = shards;
+      cfg.shard.transport = transport;
+      cfg.shard.max_frame_nodes = 32;
+      cfg.shard.fault_script = {{1, FaultOp::kKillWorker, 5}};
+      const auto res = core::run_low_load(p, pts, n, cfg);
+      const std::string what = "kill under loss+sleep, " +
+                               std::to_string(shards) + " shards over " +
+                               transport_name(transport);
+      EXPECT_EQ(serial.solution, res.solution) << what;
+      expect_stats_equal(serial.stats, res.stats, what);
+    }
+  }
+}
+
+TEST(ShardedHittingSetRecovery, KillUnderLossAndSleepBitIdentical) {
+  util::Rng data_rng(37);
+  const auto inst =
+      workloads::generate_planted_hitting_set(256, 96, 4, 2, data_rng);
+  problems::HittingSetProblem p(inst.system);
+  core::HittingSetConfig base;
+  base.seed = 94;
+  base.hitting_set_size = 4;
+  base.sample_size = 8;  // small samples: several rounds
+  base.faults = pull_side_faults();
+  const auto serial = core::run_hitting_set(p, 256, base);
+  ASSERT_TRUE(serial.valid);
+  ASSERT_GE(serial.stats.rounds_to_first, 3u);
+  for (const auto transport : kTransports) {
+    for (const std::size_t shards : {2u, 4u}) {
+      core::HittingSetConfig cfg = base;
+      cfg.shard.shards = shards;
+      cfg.shard.transport = transport;
+      cfg.shard.max_frame_nodes = 32;
+      cfg.shard.fault_script = {{1, FaultOp::kKillWorker, 5}};
+      const auto res = core::run_hitting_set(p, 256, cfg);
+      const std::string what = "hitting set kill under loss+sleep, " +
+                               std::to_string(shards) + " shards over " +
+                               transport_name(transport);
+      EXPECT_EQ(serial.hitting_set, res.hitting_set) << what;
+      EXPECT_EQ(serial.d_used, res.d_used) << what;
+      expect_stats_equal(serial.stats, res.stats, what);
+    }
   }
 }
 

@@ -220,8 +220,8 @@ TEST(SocketBootstrap, PayloadRoundTripsThroughTheServeFactory) {
   auto factory = core::detail::make_low_load_bootstrap_factory<MinDisk>(p);
   auto rebuilt = factory(d);
   EXPECT_TRUE(d.exhausted()) << "factory must consume the whole payload";
-  auto direct = core::detail::make_low_load_serve<MinDisk>(
-      p, oracle, sampler, /*run_termination=*/true);
+  core::detail::LowLoadServe<MinDisk> direct{p, oracle, sampler,
+                                             /*run_termination=*/true};
 
   // An all-inactive task range exercises the full header/trailer codec
   // without needing live RNG state.
