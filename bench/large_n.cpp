@@ -20,6 +20,14 @@
 // memory — not time — caps its practical size.  --shards routes the
 // low-load point's stage-A compute through the shard runtime (bit-identical
 // results; the high-load engine has no shard path yet and ignores it).
+//
+// Each row also reports `store_arena_bytes`, the engine's slab-store
+// reservation (the engine.<name>.store_arena_bytes gauge, largest over the
+// reps).  The process-wide peak RSS is set by whichever point is larger,
+// so the per-row arena is what lets the trend gate see a high-load memory
+// regression at the CI flags.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -59,6 +67,9 @@ int main(int argc, char** argv) {
     const std::size_t n = std::size_t{1} << i;
     util::RunningStat rounds_stat;
     double point_secs = 0.0;
+    const obs::Gauge& arena_gauge =
+        obs::gauge(std::string("engine.") + name + ".store_arena_bytes");
+    std::int64_t arena_bytes = 0;
     core::DistributedRunStats last_stats;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       const std::uint64_t seed = 1 + rep * 7919;
@@ -67,6 +78,7 @@ int main(int argc, char** argv) {
       bench::WallTimer t;
       last_stats = run_one(pts, n, seed);
       point_secs += t.seconds();
+      arena_bytes = std::max(arena_bytes, arena_gauge.get());
       LPT_CHECK_MSG(last_stats.reached_optimum, "run failed to converge");
       rounds_stat.add(static_cast<double>(last_stats.rounds_to_first));
     }
@@ -101,7 +113,8 @@ int main(int argc, char** argv) {
           static_cast<double>(last_stats.last_round_bookkeeping_touches)},
          {"bookkeeping_per_round_vs_n", floor_ratio},
          {"peak_rss_bytes",
-          mem.ok ? static_cast<double>(mem.vm_hwm_bytes) : 0.0}});
+          mem.ok ? static_cast<double>(mem.vm_hwm_bytes) : 0.0},
+         {"store_arena_bytes", static_cast<double>(arena_bytes)}});
   };
 
   if (engine == "both" || engine == "low") {

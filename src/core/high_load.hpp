@@ -20,14 +20,26 @@
 //
 // ## Simulator cost per round (the large-n engine contract)
 //
-// Elements live in a slab-backed gossip::NodeStore (O(1) incremental
-// |H(V)|, contiguous per-node storage), and every per-round walk runs over
-// the *occupied* node list — the sorted ids of nodes holding at least one
-// element, grown incrementally from the delivery receiver lists — or over
-// the CSR receiver lists themselves.  Early rounds therefore cost
-// O(occupied + messages) instead of O(n); once the element spread
-// saturates (occupied ~ n) every visited node is doing real per-round
-// algorithm work, so the bookkeeping stays proportional to useful work.
+// Stores and messages hold element ids, not element copies.  Every
+// element a node holds is a copy of one of the run's input elements, so
+// node v's H(v_i) is a sequence of u32 indices into h_set — the element
+// table, alive for the whole run at no extra memory — kept in a
+// slab-backed gossip::NodeStore<std::uint32_t> (O(1) incremental |H(V)|,
+// contiguous per-node storage).  A violator push is a detail::ElemRef
+// carrying one id, and the per-node violator lists and the churn handoff
+// hold ids.  Every solve and violation test reads values through the
+// table in the order a value store would hold them, so ids change no RNG
+// draw, solve input or count.  Metered bytes are element bytes:
+// wire_size(ElemRef<Element>) is sizeof(Element), what a real wire
+// carries.
+//
+// Every per-round walk runs over the *occupied* node list — the sorted
+// ids of nodes holding at least one element, grown incrementally from the
+// delivery receiver lists — or over the CSR receiver lists themselves.
+// Early rounds therefore cost O(occupied + messages) instead of O(n); once
+// the element spread saturates (occupied ~ n) every visited node is doing
+// real per-round algorithm work, so the bookkeeping stays proportional to
+// useful work.
 // DistributedRunStats::last_round_bookkeeping_touches records the final
 // round's bookkeeping node-touches.
 //
@@ -115,6 +127,17 @@ struct BasisMsg {
   }
 };
 
+/// Wire message carrying one violator: the element's id in h_set.  A real
+/// wire carries the element itself, so wire_size() charges its bytes.
+template <typename Element>
+struct ElemRef {
+  std::uint32_t id = 0;
+
+  friend std::size_t wire_size(const ElemRef&) noexcept {
+    return sizeof(Element);
+  }
+};
+
 /// A node's incremental local solve (stage A1).  High load never filters,
 /// so H(v) only grows between resets, and the cached optimum of the first
 /// solved_size() elements stays optimal for the grown store unless an
@@ -137,37 +160,39 @@ class LocalBasis {
   using Element = typename P::Element;
   using Solution = typename P::Solution;
 
-  /// Bring the solution up to date with `store`, which must extend the
-  /// store of the previous call (append-only).  `work` is caller-owned
-  /// scratch for W.  Returns true iff the cap was exhausted and the node
-  /// fell back to p.solve(store).
-  bool update(const P& p, std::span<const Element> store,
-              std::vector<Element>& work, std::size_t cap) {
-    LPT_CHECK_MSG(store.size() >= solved_,
+  /// Bring the solution up to date with the store `ids` (element ids
+  /// into `table`), which must extend the store of the previous call
+  /// (append-only).  `work` is caller-owned scratch for W, and for the
+  /// gathered store values a full solve takes.  Returns true iff the cap
+  /// was exhausted and the node fell back to p.solve(store).
+  bool update(const P& p, std::span<const std::uint32_t> ids,
+              std::span<const Element> table, std::vector<Element>& work,
+              std::size_t cap) {
+    LPT_CHECK_MSG(ids.size() >= solved_,
                   "LocalBasis: store shrank without reset()");
     if (solved_ == 0) {
-      adopt(p, p.solve(store), store.size());
+      adopt(p, solve_store(p, ids, table, work), ids.size());
       return false;
     }
     work.assign(sol_.basis.begin(), sol_.basis.end());
     const std::size_t basis_size = work.size();
-    for (const Element& h : store.subspan(solved_)) {
-      if (p.violates(sol_, h)) work.push_back(h);
+    for (const std::uint32_t id : ids.subspan(solved_)) {
+      if (p.violates(sol_, table[id])) work.push_back(table[id]);
     }
-    solved_ = store.size();
+    solved_ = ids.size();
     if (work.size() == basis_size) return false;
     for (std::size_t it = 0; it < cap; ++it) {
       Solution cand = p.solve(std::span<const Element>(work));
       const std::size_t before = work.size();
-      for (const Element& h : store) {
-        if (p.violates(cand, h)) work.push_back(h);
+      for (const std::uint32_t id : ids) {
+        if (p.violates(cand, table[id])) work.push_back(table[id]);
       }
       if (work.size() == before) {
-        adopt(p, std::move(cand), store.size());
+        adopt(p, std::move(cand), ids.size());
         return false;
       }
     }
-    adopt(p, p.solve(store), store.size());
+    adopt(p, solve_store(p, ids, table, work), ids.size());
     return true;
   }
 
@@ -179,6 +204,15 @@ class LocalBasis {
   std::size_t solved_size() const noexcept { return solved_; }
 
  private:
+  /// p.solve of the store's values, gathered into `work` in store order.
+  static Solution solve_store(const P& p, std::span<const std::uint32_t> ids,
+                              std::span<const Element> table,
+                              std::vector<Element>& work) {
+    work.clear();
+    for (const std::uint32_t id : ids) work.push_back(table[id]);
+    return p.solve(std::span<const Element>(work));
+  }
+
   // Every caller has just solved and scanned the store, so one more
   // from_basis per adopted solution is noise next to that.
   void adopt(const P& p, Solution sol, std::size_t solved) {
@@ -214,12 +248,14 @@ HighLoadResult<P> run_high_load(const P& p,
                                 const HighLoadConfig& cfg = {}) {
   using Element = typename P::Element;
   using Msg = detail::BasisMsg<Element>;
+  using Ref = detail::ElemRef<Element>;
 
   HighLoadResult<P> res;
   const std::size_t d = p.dimension();
   const std::size_t n = n_nodes;
   const std::size_t c_copies = cfg.push_copies ? cfg.push_copies : 1;
   LPT_CHECK(n >= 1 && d >= 1);
+  LPT_CHECK(h_set.size() <= UINT32_MAX);  // stores hold u32 ids into h_set
   const auto oracle = p.solve(h_set);
   if (h_set.empty()) {
     res.solution = oracle;
@@ -231,9 +267,10 @@ HighLoadResult<P> run_high_load(const P& p,
   gossip::Network net(n, master.child(0), cfg.faults);
   util::Rng dist_rng = master.child(1);
 
-  gossip::NodeStore<Element> store(n);
-  for (const auto& h : h_set) {
-    store.add_copy(static_cast<gossip::NodeId>(dist_rng.below(n)), h);
+  gossip::NodeStore<std::uint32_t> store(n);  // ids into h_set
+  for (std::size_t i = 0; i < h_set.size(); ++i) {
+    store.add_copy(static_cast<gossip::NodeId>(dist_rng.below(n)),
+                   static_cast<std::uint32_t>(i));
   }
 
   // The sorted ids of nodes that have *ever* held an element.  Occupancy is
@@ -258,7 +295,7 @@ HighLoadResult<P> run_high_load(const P& p,
   std::optional<ChurnState> members;
   if (churn_on) members.emplace(n);
   detail::ChurnCursor churn_cursor(churn_on ? cfg.churn : nullptr);
-  std::vector<Element> handoff_scratch;
+  std::vector<std::uint32_t> handoff_scratch;
   auto absent = [&](gossip::NodeId v) {
     return churn_on && !members->present(v);
   };
@@ -273,8 +310,9 @@ HighLoadResult<P> run_high_load(const P& p,
   net.meter().reserve_rounds(max_rounds + 1);
 
   gossip::Mailbox<Msg> basis_mail(net);
-  gossip::Mailbox<Element> elem_mail(net);
+  gossip::Mailbox<Ref> elem_mail(net);
   TerminationProtocol<P> term(p, net, maturity);
+  std::vector<Element> term_view;  // one node's store values, for term
 
   res.stats.initial_total_elements = store.total_elements();
   res.stats.max_total_elements = res.stats.initial_total_elements;
@@ -287,7 +325,8 @@ HighLoadResult<P> run_high_load(const P& p,
     detail::LocalBasis<P> local;     // cached local optimum (stage A1)
     std::uint8_t has_sol = 0;        // proposed a basis this round
     std::uint8_t fell_back = 0;      // A1 hit the incremental cap
-    std::vector<Element> violators;  // across all received bases, in order
+    std::vector<std::uint32_t> violators;  // ids, across all received
+                                           // bases, in order
     std::size_t max_single_w = 0;    // largest per-basis W_j this round
   };
   std::vector<NodeRound> scratch(n);
@@ -314,7 +353,7 @@ HighLoadResult<P> run_high_load(const P& p,
     // --- Churn events due this round.  A leaver hands its whole store off
     // to uniformly random present nodes (all high-load elements are copies)
     // and then sits empty; a joiner simply becomes present again and
-    // refills through normal deliveries.  The leaver's elements are staged
+    // refills through normal deliveries.  The leaver's ids are staged
     // through scratch first: add_copy on a target can grow the slab arena
     // the leaver's view points into.
     for (const ChurnEvent& ev : churn_cursor.events_due(t)) {
@@ -325,12 +364,12 @@ HighLoadResult<P> run_high_load(const P& p,
       }
       members->leave(v);  // before handoff: targets exclude the leaver
       scratch[v].local.reset();  // its store is about to be cleared
-      const std::span<const Element> view = store.view(v);
+      const std::span<const std::uint32_t> view = store.view(v);
       if (view.empty()) continue;
       handoff_scratch.assign(view.begin(), view.end());
       store.clear_node(v);
       newly_occupied.clear();
-      for (const Element& h : handoff_scratch) {
+      for (const std::uint32_t h : handoff_scratch) {
         const gossip::NodeId target = members->draw_present(net.rng());
         if (!occ_flag[target]) {
           occ_flag[target] = 1;
@@ -365,7 +404,7 @@ HighLoadResult<P> run_high_load(const P& p,
       if (net.asleep(v) || store.size(v) == 0) return;
       sc.has_sol = 1;
       thread_local std::vector<Element> work;
-      sc.fell_back = sc.local.update(p, store.view(v), work, d + 1);
+      sc.fell_back = sc.local.update(p, store.view(v), h_set, work, d + 1);
     });
     for (const gossip::NodeId v : occupied) {
       ++bookkeeping;
@@ -404,9 +443,9 @@ HighLoadResult<P> run_high_load(const P& p,
       for (const Msg& msg : basis_mail.inbox(v)) {
         const auto& sol_j = scratch[msg.sender].local.sent();
         std::size_t w = 0;
-        for (const auto& h : store.view(v)) {
-          if (p.violates(sol_j, h)) {
-            sc.violators.push_back(h);
+        for (const std::uint32_t id : store.view(v)) {
+          if (p.violates(sol_j, h_set[id])) {
+            sc.violators.push_back(id);
             ++w;
           }
         }
@@ -416,7 +455,7 @@ HighLoadResult<P> run_high_load(const P& p,
     for (const gossip::NodeId v : occupied) {
       ++bookkeeping;
       const NodeRound& sc = scratch[v];
-      for (const auto& h : sc.violators) elem_mail.push(v, h);
+      for (const std::uint32_t id : sc.violators) elem_mail.push(v, Ref{id});
       if (sc.max_single_w > res.extras.max_single_w) {
         res.extras.max_single_w = sc.max_single_w;
       }
@@ -433,7 +472,7 @@ HighLoadResult<P> run_high_load(const P& p,
         occ_flag[v] = 1;
         newly_occupied.push_back(v);
       }
-      for (const auto& h : elem_mail.inbox(v)) store.add_copy(v, h);
+      for (const Ref& r : elem_mail.inbox(v)) store.add_copy(v, r.id);
     }
     if (!newly_occupied.empty()) {
       std::sort(newly_occupied.begin(), newly_occupied.end());
@@ -446,8 +485,15 @@ HighLoadResult<P> run_high_load(const P& p,
     }
 
     if (cfg.run_termination) {
-      term.round(static_cast<std::uint32_t>(t),
-                 [&](gossip::NodeId v) { return store.view(v); });
+      // The protocol's validity checks read values: resolve each node's
+      // ids through one reused buffer (consumed before the next node's).
+      term.round(static_cast<std::uint32_t>(t), [&](gossip::NodeId v) {
+        term_view.clear();
+        for (const std::uint32_t id : store.view(v)) {
+          term_view.push_back(h_set[id]);
+        }
+        return std::span<const Element>(term_view);
+      });
     }
 
     const std::size_t m = store.total_elements();

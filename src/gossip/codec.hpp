@@ -24,8 +24,19 @@
 
 namespace lpt::gossip {
 
+/// Appends encoded values to a byte buffer: its own, or a caller-owned one
+/// that outlives the encoder.  A caller that encodes a frame per round into
+/// one retained buffer keeps its capacity and never copies the frame out.
 class Encoder {
  public:
+  Encoder() = default;
+  /// Encode into `out`, which is cleared first.
+  explicit Encoder(std::vector<std::uint8_t>& out) : buf_(&out) {
+    out.clear();
+  }
+  Encoder(const Encoder&) = delete;  // buf_ may point at own_
+  Encoder& operator=(const Encoder&) = delete;
+
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof v); }
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof v); }
   void put_f64(double v) { put_raw(&v, sizeof v); }
@@ -48,8 +59,8 @@ class Encoder {
     for (const auto& x : xs) put(x);
   }
 
-  const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
-  std::size_t size() const noexcept { return buf_.size(); }
+  const std::vector<std::uint8_t>& bytes() const noexcept { return *buf_; }
+  std::size_t size() const noexcept { return buf_->size(); }
 
  private:
   // resize + memcpy rather than vector::insert: the insert's inlined
@@ -57,11 +68,12 @@ class Encoder {
   // (a false positive against the freshly allocated buffer), and memcpy
   // into resized storage is what the insert lowers to anyway.
   void put_raw(const void* p, std::size_t len) {
-    const std::size_t old_size = buf_.size();
-    buf_.resize(old_size + len);
-    std::memcpy(buf_.data() + old_size, p, len);
+    const std::size_t old_size = buf_->size();
+    buf_->resize(old_size + len);
+    std::memcpy(buf_->data() + old_size, p, len);
   }
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> own_;
+  std::vector<std::uint8_t>* buf_ = &own_;
 };
 
 class Decoder {

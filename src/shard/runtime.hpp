@@ -82,6 +82,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "gossip/codec.hpp"
 #include "obs/obs.hpp"
@@ -204,6 +205,7 @@ struct ShardConfig {
 /// coordinator's recovery owns the narrative.
 template <typename Serve>
 void worker_loop(Endpoint& ep, Serve&& serve) {
+  std::vector<std::uint8_t> result;  // reused: keeps its capacity
   for (;;) {
     const RecvResult r = ep.recv_frame(-1);
     if (!r.ok()) return;
@@ -222,10 +224,10 @@ void worker_loop(Endpoint& ep, Serve&& serve) {
     }
     LPT_CHECK_MSG(type == MsgType::kStageATask,
                   "shard worker: unexpected frame type");
-    gossip::Encoder e;
+    gossip::Encoder e(result);
     serve(d, e);
     LPT_CHECK_MSG(d.exhausted(), "shard worker: trailing bytes in task");
-    if (!ep.send(e.bytes())) return;
+    if (!ep.send(result)) return;
   }
 }
 
@@ -384,11 +386,10 @@ class ShardHarness {
   void round(EncodeRoundState&& encode_round_state, EncodeTask&& encode_task,
              ApplyResult&& apply_result) {
     {
-      gossip::Encoder e;
+      gossip::Encoder e(round_state_);
       put_msg_type(e, MsgType::kRoundState);
       encode_round_state(e);
-      round_state_.clear();
-      if (e.size() > 1) round_state_ = e.bytes();
+      if (e.size() == 1) round_state_.clear();  // empty payload: none sent
     }
     const std::size_t k = plan_.shard_count();
     for (std::size_t s = 0; s < k; ++s) {
@@ -424,10 +425,9 @@ class ShardHarness {
           }
           const std::size_t f = L.q[L.head];
           if (task_bytes_[f].empty()) {
-            gossip::Encoder e;
+            gossip::Encoder e(task_bytes_[f]);
             put_msg_type(e, MsgType::kStageATask);
             encode_task(frames_[f], e);
-            task_bytes_[f] = e.bytes();
           }
           if (!transport_->endpoint(s).send(task_bytes_[f])) {
             on_worker_down(s, DownCause::kEpipe);

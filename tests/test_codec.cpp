@@ -60,6 +60,24 @@ TEST(Codec, SequenceRoundTrip) {
   EXPECT_EQ(back, ids);
 }
 
+TEST(Codec, EncoderWritesIntoCallerBuffer) {
+  // A caller-owned buffer is cleared, keeps its capacity across frames and
+  // ends up holding exactly the bytes an own-buffer encoder produces.
+  std::vector<std::uint8_t> frame(64, 0xab);
+  const std::size_t cap = frame.capacity();
+  Encoder own;
+  own.put_u32(7);
+  own.put(geom::Vec2{1, 2});
+  {
+    Encoder e(frame);
+    EXPECT_EQ(e.size(), 0u);
+    e.put_u32(7);
+    e.put(geom::Vec2{1, 2});
+  }
+  EXPECT_EQ(frame, own.bytes());
+  EXPECT_EQ(frame.capacity(), cap);
+}
+
 TEST(Codec, DecodePastEndAborts) {
   Encoder enc;
   enc.put_u32(1);
@@ -99,6 +117,19 @@ TEST(Codec, WireSizeContractBasisMessage) {
   // Codec adds a 4-byte length prefix; the meter charges elements only —
   // the prefix is O(1) bits and does not change the O(log n) accounting.
   EXPECT_EQ(enc.size(), 4 + 3 * kWireBytesVec2);
+}
+
+TEST(Codec, WireSizeContractElemRef) {
+  // High-load violator push: the simulator carries an element id into the
+  // run's input table; the meter charges the element a real wire carries.
+  using core::detail::ElemRef;
+  EXPECT_EQ(wire_size(ElemRef<geom::Vec2>{7}), sizeof(geom::Vec2));
+  EXPECT_EQ(wire_size(ElemRef<geom::Vec2>{7}), kWireBytesVec2);
+  EXPECT_EQ(wire_size(ElemRef<lp::Halfplane>{7}), sizeof(lp::Halfplane));
+  EXPECT_EQ(wire_size(ElemRef<lp::Halfplane>{7}), kWireBytesHalfplane);
+  Encoder enc;
+  enc.put(lp::Halfplane{{1, 2}, 3});
+  EXPECT_EQ(enc.size(), wire_size(ElemRef<lp::Halfplane>{}));
 }
 
 TEST(Codec, WireSizeContractTerminationMessage) {

@@ -1,12 +1,15 @@
 // Unit tests for the high-load engine's incremental local solve
 // (core::detail::LocalBasis): random append batches on every problem
 // adapter, the working-set cap's fallback, and the reset a cleared store
-// needs.
+// needs.  As in the engine, a store is a sequence of element ids into a
+// table of values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <numeric>
 #include <vector>
 
 #include "core/high_load.hpp"
@@ -29,25 +32,36 @@ using workloads::DiskDataset;
 template <typename P>
 using Local = core::detail::LocalBasis<P>;
 
-/// Append `pool` to a store in random batches of 1..8 elements, updating a
-/// LocalBasis after every batch.  After each update the cached solution
-/// must have a from-scratch solve's value, no store element may violate
-/// it, and sent() must be from_basis of its basis.  Returns the number of
-/// fallbacks taken.
+/// Ids 0..k-1: a store holding each of the first k table elements once,
+/// in table order.
+std::vector<std::uint32_t> iota_ids(std::size_t k) {
+  std::vector<std::uint32_t> ids(k);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  return ids;
+}
+
+/// Append the ids `order` (into `table`) to a store in random batches of
+/// 1..8, updating a LocalBasis after every batch.  After each update the
+/// cached solution must have a from-scratch solve's value, no store
+/// element may violate it, and sent() must be from_basis of its basis.
+/// Returns the number of fallbacks taken.
 template <typename P>
 std::size_t feed_batches(const P& p,
-                         const std::vector<typename P::Element>& pool,
+                         const std::vector<typename P::Element>& table,
+                         const std::vector<std::uint32_t>& order,
                          std::uint64_t seed, std::size_t cap) {
   util::Rng rng(seed);
   Local<P> local;
-  std::vector<typename P::Element> store, work;
+  std::vector<std::uint32_t> ids;
+  std::vector<typename P::Element> store, work;  // store: ids' values
   std::size_t fallbacks = 0;
-  for (std::size_t i = 0; i < pool.size();) {
+  for (std::size_t i = 0; i < order.size();) {
     const std::size_t batch = 1 + rng.below(8);
-    for (std::size_t k = 0; k < batch && i < pool.size(); ++k) {
-      store.push_back(pool[i++]);
+    for (std::size_t k = 0; k < batch && i < order.size(); ++k) {
+      ids.push_back(order[i]);
+      store.push_back(table[order[i++]]);
     }
-    if (local.update(p, store, work, cap)) ++fallbacks;
+    if (local.update(p, ids, table, work, cap)) ++fallbacks;
     const auto& sol = local.solution();
     EXPECT_TRUE(p.same_value(sol, p.solve(store)))
         << "store size " << store.size();
@@ -57,6 +71,14 @@ std::size_t feed_batches(const P& p,
     EXPECT_EQ(local.solved_size(), store.size());
   }
   return fallbacks;
+}
+
+/// feed_batches over every element of `pool`, once each, in order.
+template <typename P>
+std::size_t feed_batches(const P& p,
+                         const std::vector<typename P::Element>& pool,
+                         std::uint64_t seed, std::size_t cap) {
+  return feed_batches(p, pool, iota_ids(pool.size()), seed, cap);
 }
 
 /// Points sorted by distance from the origin: nearly every batch carries a
@@ -99,14 +121,17 @@ TEST(LocalBasis, MinDiskAllIdentical) {
 
 TEST(LocalBasis, MinDiskDuplicateHeavy) {
   // 12 distinct points, each repeated many times in random order: the
-  // store and the working set both hold many copies of one element.
+  // store holds many ids of one element and the working set many copies
+  // of its value.
   const MinDisk p;
   const auto distinct =
       testsupport::make_disk_points(DiskDataset::kTriangle, 12, 7);
   util::Rng rng(8);
-  std::vector<Vec2> pts;
-  for (int i = 0; i < 500; ++i) pts.push_back(distinct[rng.below(12)]);
-  feed_batches(p, pts, 9, p.dimension() + 1);
+  std::vector<std::uint32_t> order;
+  for (int i = 0; i < 500; ++i) {
+    order.push_back(static_cast<std::uint32_t>(rng.below(12)));
+  }
+  feed_batches(p, distinct, order, 9, p.dimension() + 1);
 }
 
 TEST(LocalBasis, LinearProgram2D) {
@@ -130,7 +155,7 @@ TEST(LocalBasis, LinearProgram2DFirstBasisEmpty) {
 
   Local<problems::LinearProgram2D> local;
   std::vector<lp::Halfplane> work;
-  local.update(p, std::span(pool).first(2), work, p.dimension() + 1);
+  local.update(p, iota_ids(2), pool, work, p.dimension() + 1);
   ASSERT_TRUE(local.solution().basis.empty());
   EXPECT_EQ(local.sent(), p.from_basis({}));
 
@@ -161,17 +186,17 @@ TEST(LocalBasis, UnchangedWhenNoArrivalViolates) {
   const MinDisk p;
   Local<MinDisk> local;
   std::vector<Vec2> store{{-1, 0}, {1, 0}}, work;
-  EXPECT_FALSE(local.update(p, store, work, 4));
+  EXPECT_FALSE(local.update(p, iota_ids(store.size()), store, work, 4));
   const auto before = local.solution();
   const auto sent_before = local.sent();
   store.push_back({0, 0.5});  // inside the unit disk
   store.push_back({0.2, -0.1});
-  EXPECT_FALSE(local.update(p, store, work, 4));
+  EXPECT_FALSE(local.update(p, iota_ids(store.size()), store, work, 4));
   EXPECT_EQ(local.solution(), before);
   EXPECT_EQ(local.sent(), sent_before);
   EXPECT_EQ(local.solved_size(), store.size());
   store.push_back({3, 0});
-  EXPECT_FALSE(local.update(p, store, work, 4));
+  EXPECT_FALSE(local.update(p, iota_ids(store.size()), store, work, 4));
   EXPECT_NE(local.solution(), before);
   EXPECT_TRUE(p.same_value(local.solution(), p.solve(store)));
 }
@@ -189,7 +214,7 @@ TEST(LocalBasis, CapExhaustedFallsBackToFullSolve) {
   for (std::size_t i = 0; i < pts.size(); i += 5) {
     store.insert(store.end(), pts.begin() + static_cast<std::ptrdiff_t>(i),
                  pts.begin() + static_cast<std::ptrdiff_t>(i + 5));
-    if (local.update(p, store, work, 0)) {
+    if (local.update(p, iota_ids(store.size()), pts, work, 0)) {
       ++fallbacks;
       EXPECT_EQ(local.solution(), p.solve(store));
       EXPECT_EQ(local.sent(), p.from_basis(local.solution().basis));
@@ -206,11 +231,11 @@ TEST(LocalBasis, ResetThenRefillPastOldSize) {
   Local<MinDisk> local;
   std::vector<Vec2> work;
   std::vector<Vec2> old_store{{-10, 0}, {10, 0}, {0, 10}, {0, 1}};
-  local.update(p, old_store, work, 4);
+  local.update(p, iota_ids(old_store.size()), old_store, work, 4);
   local.reset();
   EXPECT_EQ(local.solved_size(), 0u);
   std::vector<Vec2> store{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.5, 0.5}};
-  EXPECT_FALSE(local.update(p, store, work, 4));
+  EXPECT_FALSE(local.update(p, iota_ids(store.size()), store, work, 4));
   EXPECT_EQ(local.solution(), p.solve(store));
   EXPECT_EQ(local.sent(), p.from_basis(local.solution().basis));
 }
@@ -220,8 +245,9 @@ TEST(LocalBasisDeathTest, ShrunkStoreWithoutResetAborts) {
   Local<MinDisk> local;
   std::vector<Vec2> work;
   const std::vector<Vec2> store{{0, 0}, {1, 0}, {0, 1}};
-  local.update(p, store, work, 4);
-  EXPECT_DEATH(local.update(p, std::span(store).first(1), work, 4),
+  const std::vector<std::uint32_t> ids = iota_ids(store.size());
+  local.update(p, ids, store, work, 4);
+  EXPECT_DEATH(local.update(p, std::span(ids).first(1), store, work, 4),
                "store shrank");
 }
 

@@ -32,7 +32,11 @@ Checked (see docs/BENCHMARKS.md for the schemas):
     past MAX_RATIO x the committed value.  RSS below MIN_RSS_BYTES is
     allocator noise and skipped; snapshots committed before the obs
     subsystem carry no ``peak_rss_bytes`` and are warn-skipped for that
-    comparison.
+    comparison.  The process VmHWM is set by the larger point (low load at
+    the CI flags), so each row's ``store_arena_bytes`` (the engine's slab
+    reservation, deterministic per seed) must also not grow past MAX_RATIO
+    x the committed row's value, and must be present in the fresh row when
+    the committed row has it.
   * BENCH_service_qps.json — ``steady_qps`` and ``small_direct_speedup``
     must stay within MAX_RATIO of the committed values; the open-loop
     delivery fraction (``achieved_qps`` / ``target_qps``, which transfers
@@ -292,6 +296,26 @@ MIN_RSS_BYTES = 32 * 1024 * 1024  # peak RSS below 32 MiB is dominated by
 # allocator / runtime baseline, not the workload — too noisy to gate
 
 
+def check_large_n_arena(series, base_row, row, max_ratio, failures, checked):
+    """One (series, i) row's store arena against the committed row's."""
+    base_arena = base_row.get("store_arena_bytes")
+    if not isinstance(base_arena, (int, float)) or base_arena <= 0:
+        return  # committed before the per-row arena existed
+    point = f"large_n {series} i={row.get('i')} store_arena_bytes"
+    fresh_arena = row.get("store_arena_bytes")
+    if not isinstance(fresh_arena, (int, float)):
+        failures.append(f"{point}: committed {base_arena:.0f} but missing "
+                        "from the fresh artifact")
+        return
+    checked.append(point)
+    if fresh_arena > base_arena * max_ratio:
+        failures.append(
+            f"{point}: {fresh_arena / 2**20:.2f} MiB vs committed "
+            f"{base_arena / 2**20:.2f} MiB "
+            f"(allowed <= {base_arena * max_ratio / 2**20:.2f})"
+        )
+
+
 def check_large_n(baseline, fresh, max_ratio, failures, checked):
     for series in ["low_load", "high_load"]:
         base_rows = {row.get("i"): row for row in baseline.get(series, [])}
@@ -299,6 +323,8 @@ def check_large_n(baseline, fresh, max_ratio, failures, checked):
             base_row = base_rows.get(row.get("i"))
             if base_row is None:
                 continue
+            check_large_n_arena(series, base_row, row, max_ratio, failures,
+                                checked)
             base_wall = base_row.get("wall_per_rep")
             fresh_wall = row.get("wall_per_rep")
             if not isinstance(base_wall, (int, float)) or not isinstance(
